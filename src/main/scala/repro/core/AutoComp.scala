@@ -45,10 +45,8 @@ final class AutoComp(catalog: LstCatalog) {
     // Candidate generation
     val candidates = CandidateGenerator.generate(catalog, acfg.strategy)
     // Observe: statistics per candidate (incl. entropy in custom stats)
-    val observed = candidates.map { c =>
-      val (stats, _) = Traits.observeAndOrient(c, acfg.cfg)
-      (c, stats)
-    }
+    val observed = candidates.map(c =>
+      (c, Traits.observe(c.files.map(_.sizeBytes), acfg.cfg.targetFileSizeBytes)))
     // Inter-phase filtering
     val (kept, rejected) = Filters.apply(observed, acfg.filters)
     // Orient + decide: trait computation lives inside the ranker so that
@@ -66,15 +64,13 @@ final class AutoComp(catalog: LstCatalog) {
 }
 
 /** Post-write ("push") trigger (§5 Optimize-After-Write): evaluated after
-  * every write commit; when the configured trait crosses its threshold the
+  * every write commit; when the configured [[TriggerRule]] fires the
   * affected table is compacted immediately (unconstrained mode — §6.3 uses
   * exactly this with small-file-count and entropy traits).
   */
 final class OptimizeAfterWriteHook(
     catalog: LstCatalog,
-    trait_ : TraitCalc,
-    threshold: Double,
-    asRatioOfFiles: Boolean,
+    rule: TriggerRule,
     cfg: CompactionConfig,
     maxRetries: Int = 3) {
 
@@ -84,10 +80,7 @@ final class OptimizeAfterWriteHook(
   def onWrite(spark: SparkSession, db: String, name: String): Option[CompactionResult] = {
     val table = catalog.table(db, name)
     val cand = CandidateGenerator.forTable(table, Scope.Table).head
-    val (stats, traits) = Traits.observeAndOrient(cand, cfg)
-    val raw = traits(trait_.name)
-    val v = if (asRatioOfFiles && stats.fileCount > 0) raw / stats.fileCount else raw
-    if (v >= threshold) {
+    if (rule.fires(Traits.observe(cand.files.map(_.sizeBytes), cfg.targetFileSizeBytes), cfg)) {
       triggered += 1
       Some(CompactionExecutor.compact(spark, catalog, cand, cfg, maxRetries))
     } else None

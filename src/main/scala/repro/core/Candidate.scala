@@ -62,8 +62,11 @@ final case class CandidateStats(
 
 object CandidateStats {
   /** Compute generic statistics for a candidate (observe phase). */
-  def of(c: Candidate, targetFileSizeBytes: Long): CandidateStats = {
-    val sizes = c.files.map(_.sizeBytes)
+  def of(c: Candidate, targetFileSizeBytes: Long): CandidateStats =
+    ofSizes(c.files.map(_.sizeBytes), targetFileSizeBytes)
+
+  /** Generic statistics of a set of file sizes. */
+  private[core] def ofSizes(sizes: Seq[Long], targetFileSizeBytes: Long): CandidateStats = {
     val small = sizes.filter(_ < targetFileSizeBytes)
     CandidateStats(
       fileCount = sizes.size,

@@ -1,7 +1,5 @@
 package repro.core
 
-import java.nio.file.{Files, Path}
-
 import org.apache.spark.sql.SparkSession
 
 import repro.lst._
@@ -32,7 +30,7 @@ final case class CompactionResult(
   * Bin-packing semantics match Iceberg's rewrite-data-files: files already
   * at or above the target are untouched; small files are grouped BY
   * PARTITION (compaction never crosses partitions, §7) and each group is
-  * rewritten into ceil(bytes/target) outputs. Groups that cannot shrink
+  * rewritten into [[Traits.binPackOutputs]] outputs. Groups that cannot shrink
   * (one small file, or packing yields no fewer files) are skipped.
   *
   * On a conflict the staged files are deleted, the candidate is re-planned
@@ -65,9 +63,8 @@ object CompactionExecutor {
         .filter(_.sizeBytes < cfg.targetFileSizeBytes)
         .groupBy(_.partition).toVector.sortBy(_._1.getOrElse(""))
         .flatMap { case (part, files) =>
-          val nOut = math.max(1, math.ceil(
-            files.map(_.sizeBytes).sum.toDouble / cfg.targetFileSizeBytes).toInt)
-          if (files.size > nOut) Some((part, files, nOut)) else None
+          val nOut = Traits.binPackOutputs(files.map(_.sizeBytes).sum, cfg.targetFileSizeBytes)
+          if (files.size > nOut) Some((part, files, nOut.toInt)) else None
         }
       if (groups.isEmpty)
         return CompactionResult(candidate.table, candidate.partition, 0, 0, 0L, 0.0,
@@ -77,19 +74,16 @@ object CompactionExecutor {
       val bytes = victims.map(_.sizeBytes).sum
       val added = groups.flatMap { case (part, files, nOut) =>
         val df = LstReader.scanFiles(spark, table, files).df
-        LstWriter.stageForPartition(spark, table, df, part, nOut, seed = base, baseVersion = base)
+        LstWriter.stage(spark, table, df, nOut, base, part)
       }
       try {
         beforeCommit(attempts)
-        table.commit(base, Rewrite(victims.map(_.path), added))
-        val gbHr = cfg.executorMemoryGb * (bytes.toDouble / cfg.rewriteBytesPerHour)
+        LstWriter.commitStaged(table, base, Rewrite(victims.map(_.path), added))
         return CompactionResult(candidate.table, candidate.partition,
-          victims.size, added.size, bytes, gbHr, elapsedMs, attempts, conflicts,
+          victims.size, added.size, bytes, Traits.gbHr(bytes, cfg), elapsedMs, attempts, conflicts,
           succeeded = true, skipped = false)
       } catch {
-        case _: CommitConflictException =>
-          conflicts += 1
-          added.foreach(f => Files.deleteIfExists(Path.of(f.path))) // orphaned staging
+        case _: CommitConflictException => conflicts += 1
       }
     }
     CompactionResult(candidate.table, candidate.partition, 0, 0, 0L, 0.0,

@@ -10,10 +10,7 @@ trait Ranker {
 
   protected def orientAll(pool: Vector[(Candidate, CandidateStats)], cfg: CompactionConfig)
       : Vector[(Candidate, CandidateStats, Map[String, Double])] =
-    pool.map { case (c, s) =>
-      val traits = Traits.all.map(t => t.name -> t.compute(s, cfg)).toMap
-      (c, s, traits)
-    }
+    pool.map { case (c, s) => (c, s, Traits.orient(s, cfg)) }
 
   protected def sorted(xs: Vector[ScoredCandidate]): Vector[ScoredCandidate] =
     xs.sortBy(sc => (-sc.score, sc.candidate.id))
@@ -35,20 +32,15 @@ object Ranker {
     }
   }
 
-  /** Unconstrained-resource decision function (§4.3): score = raw trait
-    * value; candidates whose trait meets `threshold` qualify, the rest are
-    * dropped. E.g. trigger when estimated file count reduction ≥ 10% of the
-    * candidate's files (pass a ratio trait).
+  /** Unconstrained-resource decision function (§4.3): score = the rule's
+    * decision value; candidates for which the [[TriggerRule]] fires qualify,
+    * the rest are dropped.
     */
-  final case class ThresholdRanker(trait_ : TraitCalc, threshold: Double,
-                                   asRatioOfFiles: Boolean = false) extends Ranker {
-    val name = s"threshold(${trait_.name} >= $threshold${if (asRatioOfFiles) " ratio" else ""})"
+  final case class ThresholdRanker(rule: TriggerRule) extends Ranker {
+    val name = s"threshold(${rule.name})"
     def rank(pool: Vector[(Candidate, CandidateStats)], cfg: CompactionConfig): Vector[ScoredCandidate] = {
-      val oriented = orientAll(pool, cfg)
-      val scored = oriented.flatMap { case (c, s, traits) =>
-        val raw = traits(trait_.name)
-        val v = if (asRatioOfFiles && s.fileCount > 0) raw / s.fileCount else raw
-        if (v >= threshold) Some(ScoredCandidate(c, s, traits, v)) else None
+      val scored = orientAll(pool, cfg).collect { case (c, s, traits) if rule.fires(s, cfg) =>
+        ScoredCandidate(c, s, traits, rule.value(s, cfg))
       }
       sorted(scored)
     }
@@ -101,6 +93,36 @@ object Ranker {
     */
   def defaultMoop: MoopRanker =
     MoopRanker(Vector(Traits.FileCountReduction -> 0.7, Traits.ComputeCostGbHr -> 0.3))
+}
+
+/** The threshold decision function (§4.3): fire when `trait_` meets
+  * `threshold`, or, with `asRatioOfFiles`, when the trait divided by the
+  * candidate's file count does — e.g. trigger when estimated file count
+  * reduction ≥ 10% of the candidate's files. Used by [[Ranker.ThresholdRanker]],
+  * [[OptimizeAfterWriteHook]] and the Fig 9 workload model.
+  */
+final case class TriggerRule(trait_ : TraitCalc, threshold: Double, asRatioOfFiles: Boolean = false) {
+  def name: String = s"${trait_.name} >= $threshold${if (asRatioOfFiles) " ratio" else ""}"
+
+  def value(stats: CandidateStats, cfg: CompactionConfig): Double = {
+    val raw = trait_.compute(stats, cfg)
+    if (asRatioOfFiles && stats.fileCount > 0) raw / stats.fileCount else raw
+  }
+
+  def fires(stats: CandidateStats, cfg: CompactionConfig): Boolean = value(stats, cfg) >= threshold
+}
+
+object TriggerRule {
+
+  /** The two Fig 9 (§6.3) trigger traits by name: "smallFileCount" is the
+    * share of files below target (ΔF as a ratio of files), "fileEntropy" is
+    * file entropy. Any other name is rejected.
+    */
+  def named(traitName: String, threshold: Double): TriggerRule = traitName match {
+    case "smallFileCount" => TriggerRule(Traits.FileCountReduction, threshold, asRatioOfFiles = true)
+    case "fileEntropy"    => TriggerRule(Traits.FileEntropy, threshold)
+    case other            => throw new IllegalArgumentException(s"unknown trigger trait: $other")
+  }
 }
 
 /** Decide-phase selection: pick the work units that go to the act phase. */

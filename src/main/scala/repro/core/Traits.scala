@@ -27,15 +27,15 @@ object Traits {
   }
 
   /** ΔF minus the files compaction must still produce:
-    * ΔF_adj = smallFiles − ceil(smallBytes / target). A closer estimate of
+    * ΔF_adj = smallFiles − [[binPackOutputs]](smallBytes). A closer estimate of
     * the net reduction for single-partition candidates.
     */
   case object AdjustedFileCountReduction extends TraitCalc {
     val name = "adjustedFileCountReduction"
     val isCost = false
     def compute(stats: CandidateStats, cfg: CompactionConfig): Double = {
-      val produced = math.ceil(stats.smallBytes.toDouble / cfg.targetFileSizeBytes)
-      math.max(0.0, stats.smallFileCount - produced)
+      val produced = binPackOutputs(stats.smallBytes, cfg.targetFileSizeBytes)
+      math.max(0L, stats.smallFileCount - produced).toDouble
     }
   }
 
@@ -51,8 +51,8 @@ object Traits {
       stats.custom.getOrElse(name, 0.0)
   }
 
-  /** Entropy needs per-file sizes, so it is computed in the observe phase
-    * and stashed in `CandidateStats.custom`.
+  /** Entropy needs per-file sizes, so [[observe]] computes it and stashes
+    * it in `CandidateStats.custom`.
     */
   def entropyOf(fileSizes: Seq[Long], targetBytes: Long): Double = {
     if (fileSizes.isEmpty) 0.0
@@ -75,20 +75,40 @@ object Traits {
     val name = "computeCostGbHr"
     val isCost = true
     def compute(stats: CandidateStats, cfg: CompactionConfig): Double =
-      cfg.executorMemoryGb * (stats.smallBytes.toDouble / cfg.rewriteBytesPerHour)
+      gbHr(stats.smallBytes, cfg)
   }
+
+  /** GBHr_c = ExecutorMemoryGB × DataSize_c / RewriteBytesPerHour for
+    * rewriting `bytes` (§4.2).
+    */
+  def gbHr(bytes: Long, cfg: CompactionConfig): Double =
+    cfg.executorMemoryGb * (bytes.toDouble / cfg.rewriteBytesPerHour)
+
+  /** Files a bin-pack rewrite of `bytes` produces, as Iceberg's
+    * rewrite-data-files sizes its output: max(1, ceil(bytes / target)).
+    */
+  def binPackOutputs(bytes: Long, targetBytes: Long): Long =
+    math.max(1L, math.ceil(bytes.toDouble / targetBytes).toLong)
 
   val all: Vector[TraitCalc] =
     Vector(FileCountReduction, AdjustedFileCountReduction, FileEntropy, ComputeCostGbHr)
 
+  /** Observe phase: the generic statistics of [[CandidateStats.of]] over
+    * `fileSizes`, plus file entropy in `custom`.
+    */
+  def observe(fileSizes: Seq[Long], targetBytes: Long): CandidateStats =
+    CandidateStats.ofSizes(fileSizes, targetBytes)
+      .copy(custom = Map(FileEntropy.name -> entropyOf(fileSizes, targetBytes)))
+
+  /** Orient phase: every trait value of observed statistics. */
+  def orient(stats: CandidateStats, cfg: CompactionConfig): Map[String, Double] =
+    all.map(t => t.name -> t.compute(stats, cfg)).toMap
+
   /** Observe+orient in one step: stats plus all trait values for a
-    * candidate. Entropy is injected into `custom` first.
+    * candidate.
     */
   def observeAndOrient(c: Candidate, cfg: CompactionConfig): (CandidateStats, Map[String, Double]) = {
-    val base = CandidateStats.of(c, cfg.targetFileSizeBytes)
-    val stats = base.copy(custom = base.custom +
-      (FileEntropy.name -> entropyOf(c.files.map(_.sizeBytes), cfg.targetFileSizeBytes)))
-    val traits = all.map(t => t.name -> t.compute(stats, cfg)).toMap
-    (stats, traits)
+    val stats = observe(c.files.map(_.sizeBytes), cfg.targetFileSizeBytes)
+    (stats, orient(stats, cfg))
   }
 }

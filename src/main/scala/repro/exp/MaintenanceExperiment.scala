@@ -60,8 +60,8 @@ object MaintenanceExperiment {
     val li = catalog.createTable("tpch", "lineitem", Some("l_shipmonth"), nowMs = 0L)
     val ord = catalog.createTable("tpch", "orders", None, nowMs = 0L)
     LstWriter.append(spark, li,
-      SynthData.lineitemMonthly(spark, p.sf, p.months, p.seed), p.initialFiles, p.seed)
-    LstWriter.append(spark, ord, SynthData.orders(spark, p.sf, p.seed + 1), p.initialFiles, p.seed)
+      SynthData.lineitemMonthly(spark, p.sf, p.months, p.seed), p.initialFiles)
+    LstWriter.append(spark, ord, SynthData.orders(spark, p.sf, p.seed + 1), p.initialFiles)
 
     val out = Vector.newBuilder[PhaseResult]
     // Unmeasured warmup: JIT + codegen caches would otherwise inflate the
@@ -70,14 +70,14 @@ object MaintenanceExperiment {
     out += PhaseResult("initial", singleUserPhase(spark, catalog, p), liveFiles(catalog))
 
     // Maintenance: ~3% deleted (CoW) + fragmented incremental inserts
-    LstWriter.deleteFraction(spark, li, p.maintenanceDeleteFraction, None, 1.0, p.seed + 2)
-    LstWriter.deleteFraction(spark, ord, p.maintenanceDeleteFraction, None, 1.0, p.seed + 3)
+    LstWriter.deleteFraction(spark, li, p.maintenanceDeleteFraction, None)
+    LstWriter.deleteFraction(spark, ord, p.maintenanceDeleteFraction, None)
     LstWriter.append(spark, li,
       SynthData.lineitemMonthly(spark, p.maintenanceAppendSf, p.months, p.seed + 4),
-      p.maintenanceAppendFiles, p.seed + 4)
+      p.maintenanceAppendFiles)
     LstWriter.append(spark, ord,
       SynthData.orders(spark, p.maintenanceAppendSf, p.seed + 5),
-      p.maintenanceAppendFiles, p.seed + 5)
+      p.maintenanceAppendFiles)
 
     out += PhaseResult("degraded", singleUserPhase(spark, catalog, p), liveFiles(catalog))
 

@@ -167,8 +167,8 @@ final class FleetSimulator(cfg: FleetConfig) {
     }
   }
 
-  /** Rank with the production configuration: MOOP (0.7/0.3 base) with the
-    * §7 quota-scaled benefit weight w1 = 0.5·(1 + used/total), clamped.
+  /** Rank with the production configuration: [[Ranker.defaultMoop]] with
+    * the §7 quota-scaled benefit weight w1 = 0.5·(1 + used/total), clamped.
     */
   private def rankAll(tables: Vector[FleetTable]): Vector[ScoredCandidate] = {
     val usedByDb: Map[Int, Long] =
@@ -179,23 +179,20 @@ final class FleetSimulator(cfg: FleetConfig) {
       0.5 * (1.0 + ratio)
     }
     val costCapGbHr = cfg.maxCandidateTbHr * 1024.0
-    def costGbHr(t: FleetTable): Double =
-      cfg.execMemGb * (t.smallBytes.toDouble / (cfg.rewriteTbPerHour * (1L << 40)))
     val pool = tables
-      .filter(t => t.smallFiles >= cfg.minSmallFilesCandidate && costGbHr(t) <= costCapGbHr)
+      .filter(t => t.smallFiles >= cfg.minSmallFilesCandidate &&
+        Traits.gbHr(t.smallBytes, compactionCfg) <= costCapGbHr)
       .map { t =>
       val cand = Candidate(TableRef(s"db${t.db}", s"t${t.id}"), Scope.Table, None, Vector.empty, 0L)
       val stats = CandidateStats(
         fileCount = t.totalFiles.toInt.max(0),
         smallFileCount = t.smallFiles.toInt.max(0),
-        totalBytes = t.smallBytes + t.largeFiles * (cfg.targetFileMb * (1L << 20)).toLong,
+        totalBytes = t.smallBytes + t.largeFiles * compactionCfg.targetFileSizeBytes,
         smallBytes = t.smallBytes,
         minFileBytes = 0L, maxFileBytes = 0L)
       (cand, stats)
     }
-    Ranker.MoopRanker(
-      Vector(Traits.FileCountReduction -> 0.7, Traits.ComputeCostGbHr -> 0.3),
-      weightOverride = Some(w1)).rank(pool, compactionCfg)
+    Ranker.defaultMoop.copy(weightOverride = Some(w1)).rank(pool, compactionCfg)
   }
 
   /** Apply the act phase to one table: bin-pack its small files to target.
@@ -203,13 +200,12 @@ final class FleetSimulator(cfg: FleetConfig) {
     */
   private def compactTable(t: FleetTable): (Long, Double) = {
     if (t.smallFiles < 2) return (0L, 0.0)
-    val produced = math.max(1L, math.ceil(t.smallBytes.toDouble /
-      (cfg.targetFileMb * (1L << 20))).toLong)
+    val produced = Traits.binPackOutputs(t.smallBytes, compactionCfg.targetFileSizeBytes)
     val reduction = math.max(0L, t.smallFiles - produced)
-    val gbHr = cfg.execMemGb * (t.smallBytes.toDouble / (cfg.rewriteTbPerHour * (1L << 40)))
+    val tbHr = Traits.gbHr(t.smallBytes, compactionCfg) / 1024.0
     t.largeFiles += produced
     t.smallFiles = 0
-    (reduction, gbHr / 1024.0) // → TBHr
+    (reduction, tbHr)
   }
 
   /** Run `days` days under a policy schedule: `schedule(d)` is the policy

@@ -26,10 +26,11 @@ import repro.util.Json
   *
   *   - [[Append]]   never conflicts (rebase onto current inventory);
   *   - [[Overwrite]] conflicts iff a file it removes is already gone;
-  *   - [[Rewrite]]  conflicts with ANY intervening overwrite/rewrite — even
-  *     on disjoint partitions (§4.4: "compaction operations executed
+  *   - [[Rewrite]]  conflicts with ANY intervening rewrite — even on
+  *     disjoint partitions (§4.4: "compaction operations executed
   *     concurrently could result in conflicts when targeting distinct
-  *     partitions") — and with missing removed files.
+  *     partitions") — and, at file level only, with an intervening
+  *     overwrite that removed one of its input files.
   */
 final class LstTable private (val ref: TableRef, val root: Path) {
   import LstTable._
@@ -41,9 +42,6 @@ final class LstTable private (val ref: TableRef, val root: Path) {
   def tmpDir: Path = root.resolve("tmp")
 
   private val lock = locks.computeIfAbsent(root.toAbsolutePath.toString, _ => new Object)
-
-  // Hot-path cache: snapshots are immutable once written.
-  private val snapCache = new ConcurrentHashMap[Long, Snapshot]()
 
   def meta: TableMeta = Json.read[TableMeta](Files.readString(metaDir.resolve("table.json")))
 
@@ -60,7 +58,7 @@ final class LstTable private (val ref: TableRef, val root: Path) {
   def currentVersion: Long = Files.readString(hintFile).trim.toLong
 
   def snapshotAt(v: Long): Snapshot =
-    snapCache.computeIfAbsent(v, _ => Json.read[Snapshot](Files.readString(versionFile(v))))
+    Json.read[Snapshot](Files.readString(versionFile(v)))
 
   def currentSnapshot: Snapshot = snapshotAt(currentVersion)
 
@@ -122,7 +120,6 @@ final class LstTable private (val ref: TableRef, val root: Path) {
     Files.writeString(hintTmp, next.version.toString)
     Files.move(hintTmp, hintFile, StandardCopyOption.ATOMIC_MOVE,
       StandardCopyOption.REPLACE_EXISTING)
-    snapCache.put(next.version, next)
     next
   }
 

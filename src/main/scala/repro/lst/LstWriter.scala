@@ -41,65 +41,74 @@ object LstWriter {
   }
 
   /** Stage `df` as Parquet under the table's tmp dir and adopt the produced
-    * files into `data/`, returning their [[DataFile]] entries (tagged with
-    * partition values when the table is partitioned).
+    * non-empty files into `data/`, returning their [[DataFile]] entries
+    * (tagged with partition values when the table is partitioned).
     *
-    * For a partitioned table, `df` MUST contain `meta.partitionColumn`; we
-    * write with `partitionBy` so every physical file holds exactly one
-    * partition value, and aim for `filesTarget` files per touched partition
-    * via a salted repartition. The partition column is a *derived* column
-    * (e.g. month-of-shipdate) so dropping it from file contents loses no
-    * source data. For an unpartitioned table, `filesTarget` is the total
-    * file count.
+    * With `partition` given, `df` holds the rows of that one partition
+    * without the partition column — the CoW delete path and the compaction
+    * executor work one partition group at a time — and is written as
+    * `filesTarget` files tagged `partition`.
+    *
+    * Otherwise, on a partitioned table `df` MUST contain
+    * `meta.partitionColumn`; we write with `partitionBy` so every physical
+    * file holds exactly one partition value, and aim for `filesTarget` files
+    * per touched partition via a round-robin repartition. The partition
+    * column is a *derived* column (e.g. month-of-shipdate) so dropping it
+    * from file contents loses no source data. For an unpartitioned table,
+    * `filesTarget` is the total file count.
     */
-  def stage(spark: SparkSession, table: LstTable, df: DataFrame,
-            filesTarget: Int, seed: Long, baseVersion: Long): Vector[DataFile] = {
+  def stage(spark: SparkSession, table: LstTable, df: DataFrame, filesTarget: Int,
+            baseVersion: Long, partition: Option[String] = None): Vector[DataFile] = {
     require(filesTarget >= 1, s"filesTarget must be >= 1: $filesTarget")
     val tmp = table.tmpDir.resolve(java.util.UUID.randomUUID().toString)
-    val partCol = table.meta.partitionColumn
-    partCol match {
-      case Some(pc) =>
-        require(df.columns.contains(pc), s"partitioned table ${table.ref} needs column $pc")
-        // Round-robin into `filesTarget` tasks; partitionBy then splits each
-        // task's rows per partition value, yielding exactly `filesTarget`
-        // files per touched partition (when rows per partition >= target) —
-        // the controllable small-file knob. An explicit partition count also
-        // keeps AQE from coalescing tiny shuffles down to one file.
-        df.repartition(filesTarget).write.mode("overwrite").partitionBy(pc)
-          .parquet(tmp.toUri.toString)
-      case None =>
-        df.repartition(filesTarget).write.mode("overwrite").parquet(tmp.toUri.toString)
-    }
+    val partCol = if (partition.isDefined) None else table.meta.partitionColumn
+    partCol.foreach(pc =>
+      require(df.columns.contains(pc), s"partitioned table ${table.ref} needs column $pc"))
+    // Round-robin into `filesTarget` tasks; partitionBy then splits each
+    // task's rows per partition value, yielding exactly `filesTarget` files
+    // per touched partition (when rows per partition >= target) — the
+    // controllable small-file knob. An explicit partition count also keeps
+    // AQE from coalescing tiny shuffles down to one file.
+    val writer = df.repartition(filesTarget).write.mode("overwrite")
+    partCol.fold(writer)(writer.partitionBy(_)).parquet(tmp.toUri.toString)
     table.setSchemaIfAbsent(df.drop(partCol.toSeq: _*).schema.json)
 
-    val staged: Vector[(Path, Option[String])] = Files.walk(tmp).iterator.asScala
+    val staged = Files.walk(tmp).iterator.asScala
       .filter(p => p.getFileName.toString.endsWith(".parquet"))
-      .map { p =>
-        val part = partCol.map { pc =>
-          val dir = p.getParent.getFileName.toString // "<pc>=<value>"
-          dir.stripPrefix(s"$pc=")
-        }
-        (p, part)
-      }.toVector.sortBy(_._1.toString)
-
-    val adopted = staged.map { case (p, part) =>
+      .toVector.sortBy(_.toString)
+    val adopted = staged.flatMap { p =>
       val count = parquetRecordCount(p)
-      val target = table.adoptStagedFile(p)
-      DataFile(target.toString, part, Files.size(target), count, baseVersion + 1)
+      if (count == 0L) None // empty split; removed with tmp below
+      else {
+        // "<pc>=<value>" directories name the partition of a partitionBy write
+        val part = partCol.fold(partition)(pc =>
+          Some(p.getParent.getFileName.toString.stripPrefix(s"$pc=")))
+        val target = table.adoptStagedFile(p)
+        Some(DataFile(target.toString, part, Files.size(target), count, baseVersion + 1))
+      }
     }
-    // best-effort tmp cleanup
-    if (Files.exists(tmp))
-      Files.walk(tmp).iterator.asScala.toVector.reverse.foreach(Files.deleteIfExists(_))
+    Files.walk(tmp).iterator.asScala.toVector.reverse.foreach(Files.deleteIfExists(_))
     adopted
   }
+
+  /** Commit `op`, whose added files were staged by [[stage]]. On a
+    * [[CommitConflictException]] those files are referenced by no snapshot,
+    * so they are deleted before the exception is rethrown.
+    */
+  def commitStaged(table: LstTable, base: Long, op: CommitOp): Snapshot =
+    try table.commit(base, op)
+    catch {
+      case e: CommitConflictException =>
+        op.added.foreach(f => Files.deleteIfExists(Path.of(f.path)))
+        throw e
+    }
 
   /** Append `df` to the table. Appends rebase, so a single commit attempt
     * suffices (the LST never rejects a fast-append).
     */
-  def append(spark: SparkSession, table: LstTable, df: DataFrame,
-             filesTarget: Int, seed: Long = 0): WriteResult = {
+  def append(spark: SparkSession, table: LstTable, df: DataFrame, filesTarget: Int): WriteResult = {
     val base = table.currentVersion
-    val added = stage(spark, table, df, filesTarget, seed, base)
+    val added = stage(spark, table, df, filesTarget, base)
     val snap = table.commit(base, Append(added))
     WriteResult(table.ref, snap, added.size, added.map(_.sizeBytes).sum, 0, 1, 0, succeeded = true)
   }
@@ -110,18 +119,19 @@ object LstWriter {
     *
     * Mirrors engine CoW semantics: affected files are fully rewritten minus
     * the deleted rows, producing *smaller, uneven* files (§2 "Updates and
-    * Deletes"). The deletion predicate hashes all columns, so it is
-    * deterministic in (seed) and independent of file layout — a retry after
-    * a conflict deletes the same logical rows from the re-planned files.
+    * Deletes"). The deletion predicate is an xxhash64 over all columns, so
+    * which rows go depends only on the rows' contents, not on file layout —
+    * a retry after a conflict deletes the same logical rows from the
+    * re-planned files.
     *
     * On [[CommitConflictException]] (another writer removed our victim
-    * files) the operation re-plans against the fresh snapshot and retries up
-    * to `maxRetries` times; each failed attempt counts as one client-side
-    * conflict (Table 1, left columns).
+    * files) the staged files are deleted, and the operation re-plans against
+    * the fresh snapshot and retries up to `maxRetries` times; each failed
+    * attempt counts as one client-side conflict (Table 1, left columns).
     */
   def deleteFraction(spark: SparkSession, table: LstTable, rowFraction: Double,
                      partition: Option[String], fileSample: Double = 1.0,
-                     seed: Long = 0, maxRetries: Int = 5): WriteResult = {
+                     maxRetries: Int = 5): WriteResult = {
     require(rowFraction >= 0 && rowFraction <= 1, s"bad rowFraction $rowFraction")
     var attempts = 0
     var conflicts = 0
@@ -142,10 +152,10 @@ object LstWriter {
 
       val added = byPart.flatMap { case (part, group) =>
         val remaining = spark.read.parquet(group.map(_.path): _*).filter(keep)
-        stageForPartition(spark, table, remaining, part, group.size, seed, base)
+        stage(spark, table, remaining, group.size, base, part)
       }
       try {
-        val next = table.commit(base, Overwrite(victims.map(_.path), added))
+        val next = commitStaged(table, base, Overwrite(victims.map(_.path), added))
         return WriteResult(table.ref, next, added.size, added.map(_.sizeBytes).sum,
           victims.size, attempts, conflicts, succeeded = true)
       } catch {
@@ -153,31 +163,5 @@ object LstWriter {
       }
     }
     WriteResult(table.ref, table.currentSnapshot, 0, 0, 0, attempts, conflicts, succeeded = false)
-  }
-
-  /** Stage `df` (already restricted to one partition, or unpartitioned) as
-    * exactly-`nFiles`-ish Parquet files tagged with `part`. Used by the CoW
-    * delete path and by the compaction executor, which both operate on one
-    * partition group at a time and therefore bypass `partitionBy`.
-    */
-  def stageForPartition(spark: SparkSession, table: LstTable, df: DataFrame,
-                        part: Option[String], nFiles: Int, seed: Long,
-                        baseVersion: Long): Vector[DataFile] = {
-    val tmp = table.tmpDir.resolve(java.util.UUID.randomUUID().toString)
-    df.repartition(math.max(1, nFiles)).write.mode("overwrite").parquet(tmp.toUri.toString)
-    val staged = Files.walk(tmp).iterator.asScala
-      .filter(p => p.getFileName.toString.endsWith(".parquet"))
-      .toVector.sortBy(_.toString)
-    val adopted = staged.flatMap { p =>
-      val count = parquetRecordCount(p)
-      if (count == 0L) { Files.deleteIfExists(p); None } // drop empty splits
-      else {
-        val target = table.adoptStagedFile(p)
-        Some(DataFile(target.toString, part, Files.size(target), count, baseVersion + 1))
-      }
-    }
-    if (Files.exists(tmp))
-      Files.walk(tmp).iterator.asScala.toVector.reverse.foreach(Files.deleteIfExists(_))
-    adopted
   }
 }

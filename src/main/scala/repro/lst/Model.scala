@@ -93,9 +93,10 @@ final case class Overwrite(removedPaths: Vector[String], added: Vector[DataFile]
 
 /** Compaction rewrite: replace `removedPaths` with data-equivalent `added`.
   * Mirrors the coarse Apache Iceberg v1.2 validation observed in the paper
-  * (§4.4): a rewrite conflicts with ANY intervening overwrite or rewrite on
-  * the table — even one touching disjoint partitions — while pure appends
-  * rebase cleanly.
+  * (§4.4): a rewrite conflicts with ANY intervening rewrite on the table —
+  * even one touching disjoint partitions. Intervening overwrites are
+  * validated at file level: they conflict only if they removed one of
+  * `removedPaths`. Pure appends rebase cleanly.
   */
 final case class Rewrite(removedPaths: Vector[String], added: Vector[DataFile]) extends CommitOp {
   def operation: String = Snapshot.OpRewrite

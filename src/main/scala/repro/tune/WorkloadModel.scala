@@ -1,12 +1,13 @@
 package repro.tune
 
-import repro.core.{CompactionConfig, Traits}
+import repro.core.{CompactionConfig, Traits, TriggerRule}
 import repro.util.DetRng
 
 /** A tunable workload: evaluate returns the end-to-end duration (seconds)
   * of running it with an optimize-after-write compaction trigger firing at
-  * `threshold` on the named trait (§6.3). `threshold > 1` effectively
-  * disables auto-compaction (the "default" configuration in Fig. 9).
+  * `threshold` on the named trait (§6.3; names as in [[TriggerRule.named]]).
+  * `threshold > 1` effectively disables auto-compaction (the "default"
+  * configuration in Fig. 9).
   */
 trait TunableWorkload {
   def name: String
@@ -57,19 +58,16 @@ final case class WorkloadModel(
     // The op sequence is a property of the WORKLOAD, not of the trigger
     // being tuned — seed it independently of traitName so different traits
     // are compared on identical runs.
+    val rule = TriggerRule.named(traitName, threshold)
     val rng = new DetRng(seed)
     val small = Array.fill(nTables)(initialSmallFiles)
     val large = Array.fill(nTables)(initialLargeFiles)
     var duration = 0.0
 
-    def traitValue(t: Int): Double = {
+    def fires(t: Int): Boolean = {
       val sizes = Seq.fill(small(t))((fileSizeMb * (1L << 20)).toLong) ++
         Seq.fill(large(t))(cfg.targetFileSizeBytes)
-      traitName match {
-        case "fileEntropy" => Traits.entropyOf(sizes, cfg.targetFileSizeBytes)
-        case _             => // small-file-count ratio, in [0,1] like entropy
-          if (sizes.isEmpty) 0.0 else small(t).toDouble / sizes.size
-      }
+      rule.fires(Traits.observe(sizes, cfg.targetFileSizeBytes), cfg)
     }
 
     def compact(t: Int): Unit = {
@@ -81,8 +79,7 @@ final case class WorkloadModel(
         if (partitionsPerTable == 1) smallGb + large(t) * (cfg.targetFileSizeBytes.toDouble / (1L << 30))
         else smallGb
       duration += rewriteGb * rewriteSecPerGb * contention
-      val produced = math.max(1, math.ceil(smallGb * (1L << 30) / cfg.targetFileSizeBytes).toInt)
-      large(t) += produced
+      large(t) += Traits.binPackOutputs((smallGb * (1L << 30)).toLong, cfg.targetFileSizeBytes).toInt
       small(t) = 0
     }
 
@@ -97,7 +94,7 @@ final case class WorkloadModel(
         val t = rng.nextInt(nTables)
         small(t) += filesPerWrite
         duration += 2.0 + filesPerWrite * 0.05 // write cost itself
-        if (traitValue(t) >= threshold) compact(t)
+        if (fires(t)) compact(t)
       }
     }
     duration

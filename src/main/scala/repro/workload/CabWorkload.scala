@@ -20,7 +20,10 @@ final case class AppendOp(db: String, table: String, sf: Double,
   val isWrite = true
 }
 
-/** CoW delete of a row fraction (partition-scoped for lineitem). */
+/** CoW delete of a row fraction (partition-scoped for lineitem). `seed` is
+  * drawn with the plan but not read: [[repro.lst.LstWriter.deleteFraction]]
+  * picks rows by a hash of their contents.
+  */
 final case class DeleteOp(db: String, table: String, rowFraction: Double,
                           partition: Option[String], fileSample: Double,
                           seed: Long) extends Op {
@@ -145,9 +148,9 @@ final class CabWorkload(
       val ordSeed = DetRng.combine(seed, i.toLong, 202L)
       LstWriter.append(spark, li,
         SynthData.lineitemMonthly(spark, initialSf, months, liSeed),
-        initialLineitemFiles, liSeed)
+        initialLineitemFiles)
       LstWriter.append(spark, ord,
-        SynthData.orders(spark, initialSf, ordSeed), initialOrdersFiles, ordSeed)
+        SynthData.orders(spark, initialSf, ordSeed), initialOrdersFiles)
     }
   }
 }

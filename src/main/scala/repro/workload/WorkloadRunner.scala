@@ -91,12 +91,11 @@ final class WorkloadRunner(spark: SparkSession, catalog: LstCatalog) {
           case "lineitem" => SynthData.lineitemMonthly(spark, a.sf, monthsOf(table), a.seed)
           case _          => SynthData.orders(spark, a.sf, a.seed)
         }
-        val r = LstWriter.append(spark, table, df, a.filesTarget, a.seed)
+        val r = LstWriter.append(spark, table, df, a.filesTarget)
         WriteMetric(hour, a.db, a.table, "append", ms, r.addedFiles, 0, r.conflicts, r.succeeded)
       case d: DeleteOp =>
         val table = catalog.table(d.db, d.table)
-        val r = LstWriter.deleteFraction(spark, table, d.rowFraction, d.partition,
-          d.fileSample, d.seed)
+        val r = LstWriter.deleteFraction(spark, table, d.rowFraction, d.partition, d.fileSample)
         WriteMetric(hour, d.db, d.table, "delete", ms, r.addedFiles, r.removedFiles,
           r.conflicts, r.succeeded)
       case r: ReadOp =>

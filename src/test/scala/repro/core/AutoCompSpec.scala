@@ -125,8 +125,8 @@ class AutoCompSpec extends LstFixture {
   test("OptimizeAfterWriteHook fires when trait crosses threshold") {
     val c = freshCatalog()
     val t = c.createTable("db1", "o", None)
-    val hook = new OptimizeAfterWriteHook(c, Traits.FileCountReduction,
-      threshold = 4.0, asRatioOfFiles = false, cfg)
+    val hook = new OptimizeAfterWriteHook(c,
+      TriggerRule(Traits.FileCountReduction, threshold = 4.0), cfg)
     LstWriter.append(spark, t, tinyOrders(sf = 0.0005, seed = 1), 2)
     assert(hook.onWrite(spark, "db1", "o").isEmpty) // 2 small files < 4
     LstWriter.append(spark, t, tinyOrders(sf = 0.0005, seed = 2), 3)
@@ -140,8 +140,8 @@ class AutoCompSpec extends LstFixture {
     val c = freshCatalog()
     val t = c.createTable("db1", "o", None)
     LstWriter.append(spark, t, tinyOrders(sf = 0.0005), 5)
-    val hook = new OptimizeAfterWriteHook(c, Traits.FileCountReduction,
-      threshold = 0.5, asRatioOfFiles = true, cfg)
+    val hook = new OptimizeAfterWriteHook(c,
+      TriggerRule(Traits.FileCountReduction, threshold = 0.5, asRatioOfFiles = true), cfg)
     // all 5 files are small → ratio 1.0 ≥ 0.5 → fires
     assert(hook.onWrite(spark, "db1", "o").isDefined)
   }

@@ -33,7 +33,7 @@ class RankerSpec extends AnyFunSuite {
 
   test("ThresholdRanker keeps only candidates at/above threshold") {
     val pool = Vector(cand("a", 20), cand("b", 5), cand("c", 10))
-    val r = Ranker.ThresholdRanker(Traits.FileCountReduction, threshold = 10.0)
+    val r = Ranker.ThresholdRanker(TriggerRule(Traits.FileCountReduction, threshold = 10.0))
     val ranked = r.rank(pool, cfg)
     assert(ranked.map(_.candidate.table.name) == Vector("a", "c"))
   }
@@ -41,9 +41,9 @@ class RankerSpec extends AnyFunSuite {
   test("ThresholdRanker ratio mode: ΔF ≥ 10% of files (paper §4.3 example)") {
     val pool = Vector(cand("a", 1), cand("b", 9))
     // a: 1 small / 2 files = 0.5 ; b: 9/10 = 0.9 — both above 0.1
-    val r = Ranker.ThresholdRanker(Traits.FileCountReduction, 0.1, asRatioOfFiles = true)
+    val r = Ranker.ThresholdRanker(TriggerRule(Traits.FileCountReduction, 0.1, asRatioOfFiles = true))
     assert(r.rank(pool, cfg).size == 2)
-    val strict = Ranker.ThresholdRanker(Traits.FileCountReduction, 0.8, asRatioOfFiles = true)
+    val strict = Ranker.ThresholdRanker(TriggerRule(Traits.FileCountReduction, 0.8, asRatioOfFiles = true))
     assert(strict.rank(pool, cfg).map(_.candidate.table.name) == Vector("b"))
   }
 

@@ -30,7 +30,10 @@ class SelectionPropertiesSpec extends AnyFunSuite {
   }
 
   private val genPool: Gen[Vector[(Candidate, CandidateStats)]] =
-    Gen.listOf(genCandidate).map(_.toVector)
+    Gen.listOf(genCandidate).map(_.toVector.zipWithIndex.map { case ((c, s), i) =>
+      // a "-index" suffix keeps table names, and so candidate ids, distinct
+      (c.copy(table = c.table.copy(name = s"${c.table.name}-$i")), s)
+    })
 
   test("property: MOOP scores bounded by total weight (normalized traits in [0,1])") {
     checkProp(Prop.forAll(genPool) { pool =>
@@ -87,7 +90,7 @@ class SelectionPropertiesSpec extends AnyFunSuite {
 
   test("property: threshold ranker output respects the threshold") {
     checkProp(Prop.forAll(genPool, Gen.choose(0.0, 8.0)) { (pool, thr) =>
-      val r = Ranker.ThresholdRanker(Traits.FileCountReduction, thr)
+      val r = Ranker.ThresholdRanker(TriggerRule(Traits.FileCountReduction, thr))
       r.rank(pool, cfg).forall(_.traits(Traits.FileCountReduction.name) >= thr)
     })
   }

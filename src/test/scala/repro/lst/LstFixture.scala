@@ -31,7 +31,7 @@ trait LstFixture extends SparkSpec {
                      sf: Double = 0.001, months: Int = 3, filesPerPartition: Int = 4,
                      seed: Long = 0): LstTable = {
     val t = cat.createTable(db, name, Some("l_shipmonth"), nowMs = 1000L)
-    LstWriter.append(spark, t, tinyLineitem(sf, months, seed), filesPerPartition, seed)
+    LstWriter.append(spark, t, tinyLineitem(sf, months, seed), filesPerPartition)
     t
   }
 
@@ -39,7 +39,7 @@ trait LstFixture extends SparkSpec {
   def loadedOrders(cat: LstCatalog, db: String = "db1", name: String = "orders",
                    sf: Double = 0.001, files: Int = 6, seed: Long = 1): LstTable = {
     val t = cat.createTable(db, name, None, nowMs = 1000L)
-    LstWriter.append(spark, t, tinyOrders(sf, seed), files, seed)
+    LstWriter.append(spark, t, tinyOrders(sf, seed), files)
     t
   }
 

@@ -107,7 +107,7 @@ class LstWriterReaderSpec extends LstFixture {
     val before = df.count()
     val t = c.createTable("db1", "o", None)
     LstWriter.append(spark, t, df, 5)
-    val res = LstWriter.deleteFraction(spark, t, rowFraction = 0.3, partition = None, seed = 7)
+    val res = LstWriter.deleteFraction(spark, t, rowFraction = 0.3, partition = None)
     assert(res.succeeded && res.conflicts == 0)
     val after = LstReader.scan(spark, t).df.count()
     val removedFrac = 1.0 - after.toDouble / before
@@ -120,7 +120,7 @@ class LstWriterReaderSpec extends LstFixture {
     val snap0 = t.currentSnapshot
     val victim = snap0.partitions.head
     val others = snap0.partitions.tail
-    LstWriter.deleteFraction(spark, t, 0.5, Some(victim), seed = 3)
+    LstWriter.deleteFraction(spark, t, 0.5, Some(victim))
     val snap1 = t.currentSnapshot
     others.foreach { p =>
       assert(snap1.filesIn(Some(p)).map(_.path) == snap0.filesIn(Some(p)).map(_.path))
@@ -128,14 +128,14 @@ class LstWriterReaderSpec extends LstFixture {
     assert(snap1.filesIn(Some(victim)).map(_.path) != snap0.filesIn(Some(victim)).map(_.path))
   }
 
-  test("deleteFraction is deterministic in seed") {
+  test("deleteFraction is deterministic in table contents") {
     val c = freshCatalog()
     val t1 = c.createTable("db1", "o1", None)
     val t2 = c.createTable("db1", "o2", None)
     LstWriter.append(spark, t1, tinyOrders(sf = 0.001), 4)
     LstWriter.append(spark, t2, tinyOrders(sf = 0.001), 4)
-    LstWriter.deleteFraction(spark, t1, 0.2, None, seed = 11)
-    LstWriter.deleteFraction(spark, t2, 0.2, None, seed = 11)
+    LstWriter.deleteFraction(spark, t1, 0.2, None)
+    LstWriter.deleteFraction(spark, t2, 0.2, None)
     assert(LstReader.scan(spark, t1).df.count() == LstReader.scan(spark, t2).df.count())
   }
 
@@ -151,7 +151,7 @@ class LstWriterReaderSpec extends LstFixture {
       t.commit(snap.version, Overwrite(Vector(snap.files.head.path), Vector.empty))
     })
     racer.start(); racer.join()
-    val res = LstWriter.deleteFraction(spark, t, 0.2, None, seed = 1)
+    val res = LstWriter.deleteFraction(spark, t, 0.2, None)
     assert(res.succeeded)
   }
 
@@ -165,12 +165,12 @@ class LstWriterReaderSpec extends LstFixture {
     assert(t.currentVersion == 2)
   }
 
-  test("stageForPartition drops empty output splits") {
+  test("stage drops empty output splits") {
     val c = freshCatalog()
     val t = c.createTable("db1", "o", None)
     val df = tinyOrders(sf = 0.0005).limit(3)
     // ask for far more files than rows: empty splits must be discarded
-    val files = LstWriter.stageForPartition(spark, t, df, None, nFiles = 16, seed = 0, baseVersion = 0)
+    val files = LstWriter.stage(spark, t, df, filesTarget = 16, baseVersion = 0)
     assert(files.nonEmpty && files.size <= 3)
     assert(files.forall(_.recordCount > 0))
   }

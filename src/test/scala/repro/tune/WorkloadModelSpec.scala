@@ -43,6 +43,10 @@ class WorkloadModelSpec extends LstFixture {
     assert(w.evaluate("fileEntropy", 0.9) != w.evaluate("smallFileCount", 0.9))
   }
 
+  test("an unknown trigger trait name is rejected") {
+    intercept[IllegalArgumentException](WorkloadModel.wp1.evaluate("smallFileRatio", 0.5))
+  }
+
   test("evaluate is deterministic") {
     val w = WorkloadModel.wp3
     assert(w.evaluate("smallFileCount", 0.4) == w.evaluate("smallFileCount", 0.4))
