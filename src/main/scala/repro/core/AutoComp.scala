@@ -86,15 +86,3 @@ final class OptimizeAfterWriteHook(
     } else None
   }
 }
-
-/** Periodic ("pull") trigger (§5): a standalone service tick that runs the
-  * whole pipeline. Benches call this once per simulated hour.
-  */
-final class PeriodicTrigger(autoComp: AutoComp, acfg: AutoCompConfig) {
-  private var ticks: Int = 0
-  def tickCount: Int = ticks
-  def onTick(spark: SparkSession): AutoCompReport = {
-    ticks += 1
-    autoComp.runOnce(spark, acfg)
-  }
-}

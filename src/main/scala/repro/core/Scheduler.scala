@@ -2,6 +2,7 @@ package repro.core
 
 import java.util.concurrent.{Callable, Executors, TimeUnit}
 import scala.jdk.CollectionConverters._
+import scala.util.control.NonFatal
 
 import org.apache.spark.sql.SparkSession
 
@@ -20,7 +21,9 @@ final case class SchedulerConfig(tableParallelism: Int = 4, maxRetriesPerCandida
 final class CompactionScheduler(sched: SchedulerConfig) {
 
   /** Execute the selected work units; returns one result per candidate in
-    * deterministic (candidate id) order regardless of thread timing.
+    * deterministic (candidate id) order regardless of thread timing. A unit
+    * that throws is reported on stderr and recorded as failed; the other
+    * units and tables still run.
     */
   def run(spark: SparkSession, catalog: LstCatalog,
           selected: Vector[ScoredCandidate], cfg: CompactionConfig): Vector[CompactionResult] = {
@@ -32,8 +35,16 @@ final class CompactionScheduler(sched: SchedulerConfig) {
         new Callable[Vector[CompactionResult]] {
           def call(): Vector[CompactionResult] =
             // sequential within a table — see class doc
-            cands.map(sc => CompactionExecutor.compact(
-              spark, catalog, sc.candidate, cfg, sched.maxRetriesPerCandidate))
+            cands.map { sc =>
+              val c = sc.candidate
+              try CompactionExecutor.compact(spark, catalog, c, cfg, sched.maxRetriesPerCandidate)
+              catch {
+                case NonFatal(e) =>
+                  Console.err.println(s"compaction of ${c.id} failed: $e")
+                  CompactionResult(c.table, c.partition, 0, 0, 0L, 0.0, 0L, attempts = 1,
+                    conflicts = 0, succeeded = false, skipped = false)
+              }
+            }
         }
       }
       val results = pool.invokeAll(tasks.asJava).asScala.toVector.flatMap(_.get())

@@ -3,10 +3,9 @@ package repro.exp
 import repro.fleet.DayMetrics
 import repro.tune.TuneResult
 
-/** Plain-text table rendering + the row builders shared by the bench
-  * suites (`bench/`) and the spark-submit entrypoints (`jobs/`). Every
-  * evaluation artifact of the paper has one builder here so the printed
-  * output is identical no matter how it is produced.
+/** Plain-text table rendering + the row builders the bench suites
+  * (`bench/`) print. Every evaluation artifact of the paper has one
+  * builder here.
   */
 object Reports {
 

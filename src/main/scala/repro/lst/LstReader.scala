@@ -15,7 +15,7 @@ import org.apache.spark.sql.types.{DataType, StructType}
 object LstReader {
 
   /** A planned scan plus the metadata-derived cost counters. */
-  final case class Scan(df: DataFrame, filesScanned: Int, bytesScanned: Long, version: Long)
+  final case class Scan(df: DataFrame, filesScanned: Int, bytesScanned: Long)
 
   private def emptyDf(spark: SparkSession, table: LstTable): DataFrame = {
     val schema = table.meta.schemaJson
@@ -30,21 +30,11 @@ object LstReader {
     */
   def scan(spark: SparkSession, table: LstTable,
            partition: Option[String] = None,
-           snapshot: Option[Snapshot] = None): Scan = {
-    val snap = snapshot.getOrElse(table.currentSnapshot)
-    val files = snap.filesIn(partition)
-    if (files.isEmpty) Scan(emptyDf(spark, table), 0, 0L, snap.version)
-    else Scan(
-      spark.read.parquet(files.map(_.path): _*),
-      files.size,
-      files.map(_.sizeBytes).sum,
-      snap.version)
-  }
+           snapshot: Option[Snapshot] = None): Scan =
+    scanFiles(spark, table, snapshot.getOrElse(table.currentSnapshot).filesIn(partition))
 
-  /** Scan an explicit file subset (compaction executor path). */
-  def scanFiles(spark: SparkSession, table: LstTable, files: Seq[DataFile]): Scan = {
-    if (files.isEmpty) Scan(emptyDf(spark, table), 0, 0L, table.currentVersion)
-    else Scan(spark.read.parquet(files.map(_.path): _*), files.size,
-      files.map(_.sizeBytes).sum, table.currentVersion)
-  }
+  /** Scan an explicit file subset (the copy-on-write replace path). */
+  def scanFiles(spark: SparkSession, table: LstTable, files: Seq[DataFile]): Scan =
+    if (files.isEmpty) Scan(emptyDf(spark, table), 0, 0L)
+    else Scan(spark.read.parquet(files.map(_.path): _*), files.size, files.map(_.sizeBytes).sum)
 }

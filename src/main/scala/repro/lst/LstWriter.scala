@@ -28,9 +28,15 @@ object LstWriter {
       addedFiles: Int,
       addedBytes: Long,
       removedFiles: Int,
+      removedBytes: Long,
       attempts: Int,
       conflicts: Int,
       succeeded: Boolean)
+
+  /** One partition's `files`, to be rewritten by [[replace]] as `outputs`
+    * files of the same partition.
+    */
+  final case class FileGroup(partition: Option[String], files: Vector[DataFile], outputs: Int)
 
   /** Exact row count from the Parquet footer (cheap metadata read). */
   def parquetRecordCount(p: Path): Long = {
@@ -64,44 +70,41 @@ object LstWriter {
     val partCol = if (partition.isDefined) None else table.meta.partitionColumn
     partCol.foreach(pc =>
       require(df.columns.contains(pc), s"partitioned table ${table.ref} needs column $pc"))
-    // Round-robin into `filesTarget` tasks; partitionBy then splits each
-    // task's rows per partition value, yielding exactly `filesTarget` files
-    // per touched partition (when rows per partition >= target) — the
-    // controllable small-file knob. An explicit partition count also keeps
-    // AQE from coalescing tiny shuffles down to one file.
-    val writer = df.repartition(filesTarget).write.mode("overwrite")
-    partCol.fold(writer)(writer.partitionBy(_)).parquet(tmp.toUri.toString)
-    table.setSchemaIfAbsent(df.drop(partCol.toSeq: _*).schema.json)
-
-    val staged = Files.walk(tmp).iterator.asScala
-      .filter(p => p.getFileName.toString.endsWith(".parquet"))
-      .toVector.sortBy(_.toString)
-    val adopted = staged.flatMap { p =>
-      val count = parquetRecordCount(p)
-      if (count == 0L) None // empty split; removed with tmp below
-      else {
-        // "<pc>=<value>" directories name the partition of a partitionBy write
-        val part = partCol.fold(partition)(pc =>
-          Some(p.getParent.getFileName.toString.stripPrefix(s"$pc=")))
-        val target = table.adoptStagedFile(p)
-        Some(DataFile(target.toString, part, Files.size(target), count, baseVersion + 1))
-      }
+    var adopted = Vector.empty[DataFile]
+    try {
+      // Round-robin into `filesTarget` tasks; partitionBy then splits each
+      // task's rows per partition value, yielding exactly `filesTarget` files
+      // per touched partition (when rows per partition >= target) — the
+      // controllable small-file knob. An explicit partition count also keeps
+      // AQE from coalescing tiny shuffles down to one file.
+      val writer = df.repartition(filesTarget).write.mode("overwrite")
+      partCol.fold(writer)(writer.partitionBy(_)).parquet(tmp.toUri.toString)
+      table.setSchemaIfAbsent(df.drop(partCol.toSeq: _*).schema.json)
+      Files.walk(tmp).iterator.asScala
+        .filter(p => p.getFileName.toString.endsWith(".parquet"))
+        .toVector.sortBy(_.toString)
+        .foreach { p =>
+          val count = parquetRecordCount(p)
+          if (count > 0L) { // empty splits are removed with tmp below
+            // "<pc>=<value>" directories name the partition of a partitionBy write
+            val part = partCol.fold(partition)(pc =>
+              Some(p.getParent.getFileName.toString.stripPrefix(s"$pc=")))
+            val target = table.adoptStagedFile(p)
+            adopted :+= DataFile(target.toString, part, Files.size(target), count, baseVersion + 1)
+          }
+        }
+      adopted
+    } catch {
+      case e: Throwable => discard(adopted); throw e
+    } finally {
+      if (Files.exists(tmp))
+        Files.walk(tmp).iterator.asScala.toVector.reverse.foreach(Files.deleteIfExists(_))
     }
-    Files.walk(tmp).iterator.asScala.toVector.reverse.foreach(Files.deleteIfExists(_))
-    adopted
   }
 
-  /** Commit `op`, whose added files were staged by [[stage]]. On a
-    * [[CommitConflictException]] those files are referenced by no snapshot,
-    * so they are deleted before the exception is rethrown.
-    */
-  def commitStaged(table: LstTable, base: Long, op: CommitOp): Snapshot =
-    try table.commit(base, op)
-    catch {
-      case e: CommitConflictException =>
-        op.added.foreach(f => Files.deleteIfExists(Path.of(f.path)))
-        throw e
-    }
+  /** Delete staged files that no snapshot references. */
+  private def discard(files: Seq[DataFile]): Unit =
+    files.foreach(f => Files.deleteIfExists(Path.of(f.path)))
 
   /** Append `df` to the table. Appends rebase, so a single commit attempt
     * suffices (the LST never rejects a fast-append).
@@ -110,7 +113,57 @@ object LstWriter {
     val base = table.currentVersion
     val added = stage(spark, table, df, filesTarget, base)
     val snap = table.commit(base, Append(added))
-    WriteResult(table.ref, snap, added.size, added.map(_.sizeBytes).sum, 0, 1, 0, succeeded = true)
+    WriteResult(table.ref, snap, added.size, added.map(_.sizeBytes).sum, 0, 0L, 1, 0, succeeded = true)
+  }
+
+  /** Copy-on-write replace: the one commit path of CoW deletes
+    * (`op` = [[Overwrite]]) and compaction rewrites (`op` = [[Rewrite]]).
+    *
+    * Each attempt reads the current snapshot and `plan`s against it; an
+    * empty plan is a no-op success. Every planned group is read through
+    * [[LstReader]], passed through `transform` and [[stage]]d as `outputs`
+    * files of its partition; then `beforeCommit(attempt)` runs and the
+    * attempt commits `op(removed paths, staged files)`. On a
+    * [[CommitConflictException]] the attempt's staged files are deleted and
+    * the write re-plans against the fresh snapshot, up to `maxRetries`
+    * times; any other exception deletes them too and is rethrown.
+    *
+    * @param beforeCommit test seam invoked between staging and commit —
+    *   lets deterministic tests inject a racing commit exactly inside the
+    *   optimistic-concurrency window. No-op in production paths.
+    */
+  def replace(spark: SparkSession, table: LstTable, plan: Snapshot => Vector[FileGroup],
+              op: (Vector[String], Vector[DataFile]) => CommitOp, maxRetries: Int,
+              transform: DataFrame => DataFrame = identity,
+              beforeCommit: Int => Unit = _ => ()): WriteResult = {
+    var attempts = 0
+    var conflicts = 0
+    while (attempts <= maxRetries) {
+      attempts += 1
+      val base = table.currentVersion
+      val snap = table.snapshotAt(base)
+      val groups = plan(snap)
+      if (groups.isEmpty)
+        return WriteResult(table.ref, snap, 0, 0L, 0, 0L, attempts, conflicts, succeeded = true)
+
+      val removed = groups.flatMap(_.files)
+      var added = Vector.empty[DataFile]
+      var committed = false
+      try {
+        groups.foreach { g =>
+          val df = transform(LstReader.scanFiles(spark, table, g.files).df)
+          added ++= stage(spark, table, df, g.outputs, base, g.partition)
+        }
+        beforeCommit(attempts)
+        val next = table.commit(base, op(removed.map(_.path), added))
+        committed = true
+        return WriteResult(table.ref, next, added.size, added.map(_.sizeBytes).sum,
+          removed.size, removed.map(_.sizeBytes).sum, attempts, conflicts, succeeded = true)
+      } catch {
+        case _: CommitConflictException => conflicts += 1 // re-plan and retry
+      } finally if (!committed) discard(added)
+    }
+    WriteResult(table.ref, table.currentSnapshot, 0, 0L, 0, 0L, attempts, conflicts, succeeded = false)
   }
 
   /** Copy-on-write delete of roughly `rowFraction` of the rows held by a
@@ -124,44 +177,24 @@ object LstWriter {
     * a retry after a conflict deletes the same logical rows from the
     * re-planned files.
     *
-    * On [[CommitConflictException]] (another writer removed our victim
-    * files) the staged files are deleted, and the operation re-plans against
-    * the fresh snapshot and retries up to `maxRetries` times; each failed
-    * attempt counts as one client-side conflict (Table 1, left columns).
+    * Commits an [[Overwrite]] through [[replace]]: another writer removing a
+    * victim file makes the attempt re-plan and retry up to `maxRetries`
+    * times; each failed attempt counts as one client-side conflict (Table 1,
+    * left columns).
     */
   def deleteFraction(spark: SparkSession, table: LstTable, rowFraction: Double,
                      partition: Option[String], fileSample: Double = 1.0,
                      maxRetries: Int = 5): WriteResult = {
     require(rowFraction >= 0 && rowFraction <= 1, s"bad rowFraction $rowFraction")
-    var attempts = 0
-    var conflicts = 0
-    while (attempts <= maxRetries) {
-      attempts += 1
-      val base = table.currentVersion
-      val snap = table.snapshotAt(base)
+    def victims(snap: Snapshot): Vector[FileGroup] = {
       val pool = snap.filesIn(partition)
-      val nVictims = math.max(1, math.round(pool.size * fileSample).toInt)
-      val victims = pool.sortBy(_.path).take(math.min(nVictims, pool.size))
-      if (victims.isEmpty)
-        return WriteResult(table.ref, snap, 0, 0, 0, attempts, conflicts, succeeded = true)
-
-      val byPart = victims.groupBy(_.partition).toVector.sortBy(_._1.getOrElse(""))
-      val schemaCols = spark.read.parquet(victims.head.path).columns
-      val keep = not(pmod(xxhash64(schemaCols.map(col).toSeq: _*), lit(10000L))
-        .lt(lit(math.round(rowFraction * 10000))))
-
-      val added = byPart.flatMap { case (part, group) =>
-        val remaining = spark.read.parquet(group.map(_.path): _*).filter(keep)
-        stage(spark, table, remaining, group.size, base, part)
-      }
-      try {
-        val next = commitStaged(table, base, Overwrite(victims.map(_.path), added))
-        return WriteResult(table.ref, next, added.size, added.map(_.sizeBytes).sum,
-          victims.size, attempts, conflicts, succeeded = true)
-      } catch {
-        case _: CommitConflictException => conflicts += 1 // re-plan and retry
-      }
+      pool.sortBy(_.path).take(math.max(1, math.round(pool.size * fileSample).toInt))
+        .groupBy(_.partition).toVector.sortBy(_._1.getOrElse(""))
+        .map { case (part, group) => FileGroup(part, group, group.size) }
     }
-    WriteResult(table.ref, table.currentSnapshot, 0, 0, 0, attempts, conflicts, succeeded = false)
+    def keep(df: DataFrame): DataFrame =
+      df.filter(not(pmod(xxhash64(df.columns.map(col).toSeq: _*), lit(10000L))
+        .lt(lit(math.round(rowFraction * 10000)))))
+    replace(spark, table, victims, Overwrite, maxRetries, keep)
   }
 }

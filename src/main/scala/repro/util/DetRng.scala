@@ -31,19 +31,6 @@ final class DetRng(seed: Long) {
     (nextDouble() * bound).toInt
   }
 
-  /** Uniform long in [0, bound). Requires bound > 0. */
-  def nextLongBounded(bound: Long): Long = {
-    require(bound > 0, s"bound must be positive: $bound")
-    (nextDouble() * bound).toLong
-  }
-
-  /** Gaussian via Box–Muller (one value per call; deterministic). */
-  def nextGaussian(): Double = {
-    val u1 = math.max(nextDouble(), 1e-12)
-    val u2 = nextDouble()
-    math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.Pi * u2)
-  }
-
   /** Independent child generator tagged by `tag`; children with distinct
     * tags are statistically independent of each other and of the parent.
     */

@@ -5,12 +5,12 @@ import org.apache.spark.sql.functions._
 class SynthDataSpec extends SparkSpec {
 
   test("lineitem row count scales with sf") {
-    assert(SynthData.lineitem(spark, 0.001).count() == 6000L)
+    assert(SynthData.lineitemMonthly(spark, 0.001).count() == 6000L)
   }
 
   test("lineitem deterministic in seed") {
-    val a = SynthData.lineitem(spark, 0.0005, seed = 3).agg(sum("l_extendedprice")).collect()(0).getDouble(0)
-    val b = SynthData.lineitem(spark, 0.0005, seed = 3).agg(sum("l_extendedprice")).collect()(0).getDouble(0)
+    val a = SynthData.lineitemMonthly(spark, 0.0005, seed = 3).agg(sum("l_extendedprice")).collect()(0).getDouble(0)
+    val b = SynthData.lineitemMonthly(spark, 0.0005, seed = 3).agg(sum("l_extendedprice")).collect()(0).getDouble(0)
     assert(a == b)
   }
 
@@ -32,23 +32,5 @@ class SynthDataSpec extends SparkSpec {
     assert(df.count() == 1500L)
     val mm = df.agg(min("o_orderkey"), max("o_orderkey")).collect()(0)
     assert(mm.getLong(0) == 1L && mm.getLong(1) == 1500L)
-  }
-
-  test("customer and part generators produce expected columns") {
-    assert(SynthData.customer(spark, 0.001).columns.toSet ==
-      Set("c_custkey", "c_nationkey", "c_acctbal", "c_mktsegment"))
-    assert(SynthData.part(spark, 0.001).columns.contains("p_retailprice"))
-  }
-
-  test("zipf keys are skewed") {
-    val df = SynthData.zipfKeys(spark, 20000, 1000)
-    val top = df.groupBy("k").count().orderBy(desc("count")).limit(1).collect()(0).getLong(1)
-    assert(top > 20000 / 1000 * 5, s"top key count $top should exceed uniform share")
-  }
-
-  test("uniform keys are roughly uniform") {
-    val df = SynthData.uniformKeys(spark, 20000, 10)
-    val counts = df.groupBy("k").count().collect().map(_.getLong(1))
-    assert(counts.max < counts.min * 2)
   }
 }

@@ -113,13 +113,26 @@ class AutoCompSpec extends LstFixture {
     assert(report.failedUnits == 0)
   }
 
-  test("PeriodicTrigger ticks run the pipeline") {
+  test("a periodic tick is one runOnce call") {
     val c = freshCatalog()
     loadedOrders(c, files = 5)
-    val trig = new PeriodicTrigger(new AutoComp(c), acfg())
-    val rep = trig.onTick(spark)
-    assert(trig.tickCount == 1)
-    assert(rep.succeededUnits == 1)
+    assert(new AutoComp(c).runOnce(spark, acfg()).succeededUnits == 1)
+  }
+
+  test("one failing work unit does not abort the tick") {
+    val c = freshCatalog()
+    loadedOrders(c, db = "db1", name = "o1", files = 6)
+    loadedOrders(c, db = "db2", name = "o2", files = 6)
+    val observed = CandidateGenerator.generate(c, ScopeStrategy.TableScope)
+      .map(cand => (cand, Traits.observe(cand.files.map(_.sizeBytes), cfg.targetFileSizeBytes)))
+    val selected = Selector.TopK(2).select(Ranker.defaultMoop.rank(observed, cfg), cfg)
+    assert(selected.size == 2)
+    c.dropTable("db1", "o1")
+    val results = new CompactionScheduler(SchedulerConfig(tableParallelism = 2))
+      .run(spark, c, selected, cfg)
+    assert(results.map(r => (r.table.name, r.succeeded)) == Vector("o1" -> false, "o2" -> true))
+    assert(results.head.attempts == 1 && !results.head.skipped)
+    assert(c.table("db2", "o2").currentSnapshot.fileCount == 1)
   }
 
   test("OptimizeAfterWriteHook fires when trait crosses threshold") {

@@ -1,5 +1,7 @@
 package repro.core
 
+import java.nio.file.{Files, Path}
+
 import org.apache.spark.sql.functions._
 
 import repro.Oracle
@@ -176,5 +178,31 @@ class CompactionExecutorSpec extends LstFixture {
     // (historical snapshots keep them until vacuum). Crucially NOT more:
     // the conflicted attempt's staged outputs were cleaned up eagerly.
     assert(t.vacuum() == 6, "only metadata-removed files should be orphaned")
+  }
+
+  test("an exception before the commit leaves no staged files behind") {
+    val c = freshCatalog()
+    val t = loadedOrders(c, files = 6)
+    val before = t.currentSnapshot
+    val cand = CandidateGenerator.forTable(t, Scope.Table).head
+    intercept[RuntimeException] {
+      CompactionExecutor.compact(spark, c, cand, cfg,
+        beforeCommit = _ => throw new RuntimeException("injected failure"))
+    }
+    assert(t.currentSnapshot == before)
+    assertNothingLeftBehind(t)
+  }
+
+  test("a failing partition group deletes the groups staged before it") {
+    val c = freshCatalog()
+    val t = loadedLineitem(c, months = 3)
+    val snap = t.currentSnapshot
+    // groups are rewritten in partition order: the first one is staged
+    // before the second one's read fails
+    Files.delete(Path.of(snap.filesIn(Some(snap.partitions(1))).head.path))
+    val cand = CandidateGenerator.forTable(t, Scope.Table).head
+    intercept[Exception](CompactionExecutor.compact(spark, c, cand, cfg))
+    assert(t.currentVersion == snap.version)
+    assertNothingLeftBehind(t)
   }
 }

@@ -1,16 +1,17 @@
 package repro.exp
 
-import org.scalatest.funsuite.AnyFunSuite
-
+import repro.core.{CandidateGenerator, CompactionConfig, CompactionExecutor, Scope}
+import repro.lst.{LstFixture, LstReader, LstWriter}
 import repro.tune.{Tuner, WorkloadModel}
 
-/** Exact outputs of the two deterministic, Spark-free experiments: the
+/** Exact outputs of the two deterministic, Spark-free experiments — the
   * Fig 9 tuner runs as `Fig9AutoTuneBench` calls them, and the Fig 10a
-  * schedule on a 2000-table fleet. Any change to a shared formula (GBHr,
-  * bin-pack output count, trigger rule, trait orientation, MOOP weights)
-  * that moves a figure fails here.
+  * schedule on a 2000-table fleet — and of the LST rewrite paths (CoW
+  * delete, compaction) on the test fixtures. Any change to a shared formula
+  * (GBHr, bin-pack output count, trigger rule, trait orientation, MOOP
+  * weights) or to which rows a rewrite keeps fails here.
   */
-class GoldenOutputsSpec extends AnyFunSuite {
+class GoldenOutputsSpec extends LstFixture {
 
   test("Fig 9 tuner runs are pinned") {
     val tuner = new Tuner(seed = 2024L)
@@ -35,5 +36,35 @@ class GoldenOutputsSpec extends AnyFunSuite {
     assert(days.map(_.openCalls).sum == 3599678331L)
     assert(days.last.totalFiles == 114941367L)
     assert(days.last.totalSmallFiles == 111448119L)
+  }
+
+  /** `SynthData` seeds `rand` per Spark partition, so fixture rows (and
+    * which of them a delete drops) depend on the session's parallelism:
+    * parallelism -> (orders rows after deleteFraction(0.2), lineitem rows
+    * after deleteFraction(0.5) of the first partition).
+    */
+  private val deletedRows = Map(1 -> (1215L, 4945L), 2 -> (1208L, 4980L), 3 -> (1221L, 4998L),
+    4 -> (1208L, 4990L), 8 -> (1184L, 5006L))
+
+  test("CoW delete outputs are pinned") {
+    val par = spark.sparkContext.defaultParallelism
+    val (ordersRows, lineitemRows) = deletedRows.getOrElse(par,
+      fail(s"no pinned values for parallelism $par (recorded: ${deletedRows.keys.toVector.sorted})"))
+    val c = freshCatalog()
+    val o = loadedOrders(c)
+    LstWriter.deleteFraction(spark, o, 0.2, None)
+    assert((LstReader.scan(spark, o).df.count(), o.currentSnapshot.fileCount) == ((ordersRows, 6)))
+    val li = loadedLineitem(c)
+    LstWriter.deleteFraction(spark, li, 0.5, Some(li.currentSnapshot.partitions.head))
+    assert((LstReader.scan(spark, li).df.count(), li.currentSnapshot.fileCount) == ((lineitemRows, 12)))
+  }
+
+  test("table-scope compaction output is pinned") {
+    val c = freshCatalog()
+    val t = loadedLineitem(c, months = 3, filesPerPartition = 4)
+    val cfg = CompactionConfig(targetFileSizeBytes = 64L << 20, executorMemoryGb = 8.0,
+      rewriteBytesPerHour = 1e9)
+    CompactionExecutor.compact(spark, c, CandidateGenerator.forTable(t, Scope.Table).head, cfg)
+    assert((t.currentSnapshot.fileCount, t.currentSnapshot.totalRecords) == ((3, 6000L)))
   }
 }

@@ -1,6 +1,7 @@
 package repro.lst
 
 import java.nio.file.{Files, Path}
+import scala.jdk.CollectionConverters._
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
@@ -50,5 +51,16 @@ trait LstFixture extends SparkSpec {
     val scan = LstReader.scan(spark, table)
     if (scan.filesScanned == 0) 0.0
     else scan.df.agg(sum(col(colName))).collect()(0).getDouble(0)
+  }
+
+  /** What a failed write must leave: every file in `data/` referenced by
+    * the current snapshot, and an empty `tmp/`.
+    */
+  def assertNothingLeftBehind(table: LstTable): Unit = {
+    def names(dir: Path): Set[String] =
+      Files.list(dir).iterator.asScala.map(_.getFileName.toString).toSet
+    val live = table.currentSnapshot.files.map(f => Path.of(f.path).getFileName.toString).toSet
+    assert(names(table.dataDir).subsetOf(live), s"unreferenced data files: ${names(table.dataDir) -- live}")
+    assert(names(table.tmpDir).isEmpty, s"tmp/ holds ${names(table.tmpDir)}")
   }
 }

@@ -136,18 +136,6 @@ class LstTableSpec extends LstFixture {
     assert(ex.kind == "cluster")
   }
 
-  test("commitStaged deletes the staged files on a conflict and rethrows") {
-    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None, 1L)
-    t.commit(0, Append(Vector(df("/a"), df("/b"))))
-    t.commit(1, Overwrite(Vector("/a"), Vector(df("/a2")))) // intervening overwrite
-    val staged = Vector.tabulate(2)(i => Files.write(t.dataDir.resolve(s"staged-$i.parquet"), Array[Byte](1)))
-    intercept[CommitConflictException] {
-      LstWriter.commitStaged(t, 1, Overwrite(Vector("/a"), staged.map(p => df(p.toString))))
-    }
-    assert(staged.forall(p => !Files.exists(p)))
-    assert(t.currentVersion == 2L)
-  }
-
   test("snapshotsSince returns intervening versions oldest-first") {
     val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None, 1L)
     t.commit(0, Append(Vector(df("/a"))))

@@ -1,5 +1,8 @@
 package repro.lst
 
+import java.io.IOException
+import java.nio.file.Files
+
 import org.apache.spark.sql.functions._
 
 import repro.Oracle
@@ -173,5 +176,30 @@ class LstWriterReaderSpec extends LstFixture {
     val files = LstWriter.stage(spark, t, df, filesTarget = 16, baseVersion = 0)
     assert(files.nonEmpty && files.size <= 3)
     assert(files.forall(_.recordCount > 0))
+  }
+
+  test("stage deletes its staging dir when it fails after the write job") {
+    val c = freshCatalog()
+    val t = c.createTable("db1", "o", None)
+    // the write job succeeds; recording the schema afterwards fails
+    Files.delete(t.root.resolve("meta").resolve("table.json"))
+    intercept[IOException] {
+      LstWriter.stage(spark, t, tinyOrders(sf = 0.0005), 4, baseVersion = 0, partition = Some("p"))
+    }
+    assertNothingLeftBehind(t)
+  }
+
+  test("replace deletes the staged files of a conflicted attempt") {
+    val c = freshCatalog()
+    val t = loadedOrders(c, files = 4)
+    val res = LstWriter.replace(spark, t, s => Vector(LstWriter.FileGroup(None, s.files, 1)),
+      Overwrite, maxRetries = 0,
+      beforeCommit = _ => { // a racing overwrite removes one of the replaced files
+        val snap = t.currentSnapshot
+        t.commit(snap.version, Overwrite(Vector(snap.files.head.path), Vector.empty))
+      })
+    assert(!res.succeeded && res.attempts == 1 && res.conflicts == 1)
+    assert(t.vacuum() == 1, "only the racer's removed file may be orphaned")
+    assertNothingLeftBehind(t)
   }
 }
