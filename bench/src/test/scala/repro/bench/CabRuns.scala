@@ -22,8 +22,7 @@ object CabRuns {
     appendFiles = 6,
     initialSf = 0.004,
     initialLineitemFiles = 6,
-    initialOrdersFiles = 12,
-    targetFileSizeBytes = 512L << 10)
+    initialOrdersFiles = 12)
 
   /** Paper k values scaled by fleet-size ratio (see paperStrategies doc):
     * table-10 → k=2 over 20 tables, hybrid-50 → k=10 and hybrid-500 →
@@ -33,7 +32,7 @@ object CabRuns {
 
   lazy val results: Vector[CabExperiment.StrategyResult] =
     CabExperiment.runAll(SparkSpec.shared, params,
-      CabExperiment.paperStrategies(params, kDivisor))
+      CabExperiment.paperStrategies(kDivisor))
 
   def byName(name: String): CabExperiment.StrategyResult =
     results.find(_.strategy == name).get

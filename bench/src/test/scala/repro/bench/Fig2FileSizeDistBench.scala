@@ -4,7 +4,7 @@ import java.nio.file.Files
 
 import repro.SparkSpec
 import repro.core._
-import repro.exp.{CabExperiment, FileSizeDistribution, Reports}
+import repro.exp.{FileSizeDistribution, Reports}
 import repro.lst.LstCatalog
 import repro.workload.CabWorkload
 

@@ -15,7 +15,6 @@ class Fig3MaintenanceBench extends SparkSpec {
   test("Figure 3: maintenance degrades, compaction restores") {
     val phases = MaintenanceExperiment.run(spark, MaintenanceExperiment.Params(
       sf = 0.05, months = 6, initialFiles = 4,
-      maintenanceDeleteFraction = 0.03,
       maintenanceAppendSf = 0.0015, maintenanceAppendFiles = 80,
       queryRepeats = 3))
     println(Reports.fig3(phases))

@@ -24,7 +24,6 @@ final case class AutoCompReport(
     selected: Vector[ScoredCandidate],
     results: Vector[CompactionResult],
     feedbackFileCounts: Map[String, Int]) {
-  def totalGbHr: Double = results.map(_.gbHr).sum
   def filesRemoved: Int = results.map(_.removedFiles).sum
   def filesAdded: Int = results.map(_.addedFiles).sum
   def netFileReduction: Int = filesRemoved - filesAdded
@@ -44,7 +43,7 @@ final class AutoComp(catalog: LstCatalog) {
   def runOnce(spark: SparkSession, acfg: AutoCompConfig): AutoCompReport = {
     // Candidate generation
     val candidates = CandidateGenerator.generate(catalog, acfg.strategy)
-    // Observe: statistics per candidate (incl. entropy in custom stats)
+    // Observe: statistics per candidate
     val observed = candidates.map(c =>
       (c, Traits.observe(c.files.map(_.sizeBytes), acfg.cfg.targetFileSizeBytes)))
     // Inter-phase filtering
@@ -66,23 +65,21 @@ final class AutoComp(catalog: LstCatalog) {
 /** Post-write ("push") trigger (§5 Optimize-After-Write): evaluated after
   * every write commit; when the configured [[TriggerRule]] fires the
   * affected table is compacted immediately (unconstrained mode — §6.3 uses
-  * exactly this with small-file-count and entropy traits).
+  * exactly this with small-file-count and entropy traits). Only tests
+  * drive this hook; the Fig 9 sweep runs the same [[TriggerRule]] inside
+  * the analytic [[repro.tune.WorkloadModel]].
   */
-final class OptimizeAfterWriteHook(
-    catalog: LstCatalog,
-    rule: TriggerRule,
-    cfg: CompactionConfig,
-    maxRetries: Int = 3) {
+final class OptimizeAfterWriteHook(catalog: LstCatalog, rule: TriggerRule, cfg: CompactionConfig) {
 
   @volatile var triggered: Int = 0
 
   /** Returns the compaction result when the trigger fired, None otherwise. */
   def onWrite(spark: SparkSession, db: String, name: String): Option[CompactionResult] = {
     val table = catalog.table(db, name)
-    val cand = CandidateGenerator.forTable(table, Scope.Table).head
+    val cand = CandidateGenerator.forTable(table, ScopeStrategy.TableScope).head
     if (rule.fires(Traits.observe(cand.files.map(_.sizeBytes), cfg.targetFileSizeBytes), cfg)) {
       triggered += 1
-      Some(CompactionExecutor.compact(spark, catalog, cand, cfg, maxRetries))
+      Some(CompactionExecutor.compact(spark, catalog, cand, cfg))
     } else None
   }
 }

@@ -2,81 +2,46 @@ package repro.core
 
 import repro.lst.{DataFile, TableRef}
 
-/** Granularity at which a compaction work unit is scoped (FR1). */
-sealed trait Scope
-object Scope {
+/** How candidates are scoped across the catalog (§4.1, §6 "Candidate
+  * Selection and Scheduling"): table scope everywhere, partition scope
+  * everywhere, the paper's hybrid — partition scope for partitioned tables,
+  * table scope otherwise — or a snapshot tail.
+  */
+sealed trait ScopeStrategy
+object ScopeStrategy {
   /** One candidate per table (the original OpenHouse strategy, §6/§7). */
-  case object Table extends Scope
+  case object TableScope extends ScopeStrategy
   /** One candidate per partition of a partitioned table. */
-  case object Partition extends Scope
+  case object PartitionScope extends ScopeStrategy
+  case object Hybrid extends ScopeStrategy
   /** Files added within the last N table versions only — for keeping fresh
     * data optimal without touching cold history (§4.1).
     */
-  final case class SnapshotTail(lastVersions: Int) extends Scope {
+  final case class SnapshotScope(lastVersions: Int) extends ScopeStrategy {
     require(lastVersions >= 1)
   }
 }
 
-/** How candidates are generated across the catalog (§6 "Candidate Selection
-  * and Scheduling"): table scope everywhere, partition scope everywhere, or
-  * the paper's hybrid — partition scope for partitioned tables, table scope
-  * otherwise.
-  */
-sealed trait ScopeStrategy
-object ScopeStrategy {
-  case object TableScope extends ScopeStrategy
-  case object PartitionScope extends ScopeStrategy
-  case object Hybrid extends ScopeStrategy
-  final case class SnapshotScope(lastVersions: Int) extends ScopeStrategy
-}
-
 /** A collection of files to be compacted (§4.1): a whole table, one
-  * partition, or a snapshot tail, frozen at `baseVersion`. Compaction never
-  * crosses partitions (§7 "Model Accuracy"), which the executor enforces by
-  * grouping `files` by partition value.
+  * partition, or a snapshot tail. Compaction never crosses partitions (§7
+  * "Model Accuracy"), which the executor enforces by grouping `files` by
+  * partition value.
   */
-final case class Candidate(
-    table: TableRef,
-    scope: Scope,
-    partition: Option[String],
-    files: Vector[DataFile],
-    baseVersion: Long) {
+final case class Candidate(table: TableRef, partition: Option[String], files: Vector[DataFile]) {
   /** Stable identity used for logging and deterministic ordering. */
   def id: String = s"$table${partition.fold("")(p => s"/$p")}"
 }
 
-/** Observe-phase output (§4.1 "standardized layout for statistics"):
-  * generic file-level statistics of a candidate, computed against a target
-  * file size. Custom per-platform statistics can be attached via `custom`.
+/** Observe-phase output (§4.1 "standardized layout for statistics"): the
+  * file-level statistics of a candidate against a target file size, as
+  * [[Traits.observe]] computes them.
   */
 final case class CandidateStats(
     fileCount: Int,
     smallFileCount: Int,
     totalBytes: Long,
     smallBytes: Long,
-    minFileBytes: Long,
-    maxFileBytes: Long,
-    custom: Map[String, Double] = Map.empty) {
-  def smallFileRatio: Double = if (fileCount == 0) 0.0 else smallFileCount.toDouble / fileCount
-}
-
-object CandidateStats {
-  /** Compute generic statistics for a candidate (observe phase). */
-  def of(c: Candidate, targetFileSizeBytes: Long): CandidateStats =
-    ofSizes(c.files.map(_.sizeBytes), targetFileSizeBytes)
-
-  /** Generic statistics of a set of file sizes. */
-  private[core] def ofSizes(sizes: Seq[Long], targetFileSizeBytes: Long): CandidateStats = {
-    val small = sizes.filter(_ < targetFileSizeBytes)
-    CandidateStats(
-      fileCount = sizes.size,
-      smallFileCount = small.size,
-      totalBytes = sizes.sum,
-      smallBytes = small.sum,
-      minFileBytes = if (sizes.isEmpty) 0L else sizes.min,
-      maxFileBytes = if (sizes.isEmpty) 0L else sizes.max)
-  }
-}
+    entropy: Double)
 
 /** Global compaction configuration shared across the OODA phases.
   *

@@ -1,48 +1,36 @@
 package repro.core
 
-import repro.lst.{LstCatalog, LstTable}
+import repro.lst.{DataFile, LstCatalog, LstTable}
 
 /** Candidate generation (first box of Figure 4): enumerate compaction work
-  * units across the catalog at the configured scope. Output order is
+  * units across the catalog under a scope strategy. Output order is
   * deterministic (sorted by table, then partition) per NFR2.
   */
 object CandidateGenerator {
 
-  /** Candidates for one table at the given scope, frozen at the table's
-    * current version.
+  /** Candidates for one table under `strategy`, read from the table's
+    * current snapshot. The paper's hybrid strategy scopes a partitioned
+    * table at the partition level and an unpartitioned one at the table
+    * level (§6).
     */
-  def forTable(table: LstTable, scope: Scope): Vector[Candidate] = {
+  def forTable(table: LstTable, strategy: ScopeStrategy): Vector[Candidate] = {
     val snap = table.currentSnapshot
-    scope match {
-      case Scope.Table =>
-        Vector(Candidate(table.ref, Scope.Table, None, snap.files, snap.version))
-      case Scope.Partition =>
-        snap.files.groupBy(_.partition).toVector
-          .sortBy(_._1.getOrElse(""))
-          .map { case (part, files) =>
-            Candidate(table.ref, Scope.Partition, part, files, snap.version)
-          }
-      case s @ Scope.SnapshotTail(n) =>
+    def whole(files: Vector[DataFile]) = Vector(Candidate(table.ref, None, files))
+    def byPartition = snap.files.groupBy(_.partition).toVector
+      .sortBy(_._1.getOrElse(""))
+      .map { case (part, files) => Candidate(table.ref, part, files) }
+    strategy match {
+      case ScopeStrategy.TableScope     => whole(snap.files)
+      case ScopeStrategy.PartitionScope => byPartition
+      case ScopeStrategy.Hybrid =>
+        if (table.meta.partitionColumn.isDefined) byPartition else whole(snap.files)
+      case ScopeStrategy.SnapshotScope(n) =>
         val cutoff = math.max(0L, snap.version - n)
-        val fresh = snap.files.filter(_.addedVersion > cutoff)
-        Vector(Candidate(table.ref, s, None, fresh, snap.version))
+        whole(snap.files.filter(_.addedVersion > cutoff))
     }
   }
 
-  /** Enumerate candidates across the whole catalog under a strategy. The
-    * paper's hybrid strategy scopes partitioned tables at the partition
-    * level and unpartitioned tables at the table level (§6).
-    */
+  /** Enumerate candidates across the whole catalog under a strategy. */
   def generate(catalog: LstCatalog, strategy: ScopeStrategy): Vector[Candidate] =
-    catalog.allTables.sortBy(_.toString).flatMap { ref =>
-      val t = catalog.table(ref)
-      val scope = strategy match {
-        case ScopeStrategy.TableScope       => Scope.Table
-        case ScopeStrategy.PartitionScope   => Scope.Partition
-        case ScopeStrategy.Hybrid =>
-          if (t.meta.partitionColumn.isDefined) Scope.Partition else Scope.Table
-        case ScopeStrategy.SnapshotScope(n) => Scope.SnapshotTail(n)
-      }
-      forTable(t, scope)
-    }
+    catalog.allTables.sortBy(_.toString).flatMap(ref => forTable(catalog.table(ref), strategy))
 }

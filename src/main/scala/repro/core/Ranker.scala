@@ -32,6 +32,12 @@ object Ranker {
     }
   }
 
+  /** The production deployment's quota-scaled benefit weight (§7):
+    * w1 = 0.5·(1 + Used/Total), with Used/Total clamped to 1.
+    */
+  def quotaWeight(used: Long, quota: Long): Double =
+    0.5 * (1.0 + math.min(1.0, used.toDouble / quota))
+
   /** Unconstrained-resource decision function (§4.3): score = the rule's
     * decision value; candidates for which the [[TriggerRule]] fires qualify,
     * the rest are dropped.
@@ -51,7 +57,7 @@ object Ranker {
     * normalizing each trait over the pool. Weights must sum to 1.
     *
     * `weightOverride` supports the production deployment's per-candidate
-    * benefit weight w1 = 0.5·(1 + UsedQuota/TotalQuota) (§7); when present
+    * benefit weight w1 ([[quotaWeight]], §7); when present
     * it replaces the static weight of the FIRST (benefit) trait, and the
     * remaining weight (1 − w1) is distributed over the other traits
     * proportionally to their static weights.

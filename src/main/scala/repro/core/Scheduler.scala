@@ -14,7 +14,7 @@ import repro.lst.LstCatalog
   * the paper observed Iceberg v1.2 rejecting concurrent rewrites even on
   * disjoint partitions, so intra-table parallelism only burns retries.
   */
-final case class SchedulerConfig(tableParallelism: Int = 4, maxRetriesPerCandidate: Int = 3) {
+final case class SchedulerConfig(tableParallelism: Int = 4) {
   require(tableParallelism >= 1)
 }
 
@@ -37,7 +37,7 @@ final class CompactionScheduler(sched: SchedulerConfig) {
             // sequential within a table — see class doc
             cands.map { sc =>
               val c = sc.candidate
-              try CompactionExecutor.compact(spark, catalog, c, cfg, sched.maxRetriesPerCandidate)
+              try CompactionExecutor.compact(spark, catalog, c, cfg)
               catch {
                 case NonFatal(e) =>
                   Console.err.println(s"compaction of ${c.id} failed: $e")

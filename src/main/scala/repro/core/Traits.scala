@@ -48,11 +48,11 @@ object Traits {
     val name = "fileEntropy"
     val isCost = false
     def compute(stats: CandidateStats, cfg: CompactionConfig): Double =
-      stats.custom.getOrElse(name, 0.0)
+      stats.entropy
   }
 
-  /** Entropy needs per-file sizes, so [[observe]] computes it and stashes
-    * it in `CandidateStats.custom`.
+  /** Entropy needs per-file sizes, so [[observe]] computes it into
+    * `CandidateStats.entropy`.
     */
   def entropyOf(fileSizes: Seq[Long], targetBytes: Long): Double = {
     if (fileSizes.isEmpty) 0.0
@@ -93,12 +93,13 @@ object Traits {
   val all: Vector[TraitCalc] =
     Vector(FileCountReduction, AdjustedFileCountReduction, FileEntropy, ComputeCostGbHr)
 
-  /** Observe phase: the generic statistics of [[CandidateStats.of]] over
-    * `fileSizes`, plus file entropy in `custom`.
+  /** Observe phase: the statistics of a candidate's `fileSizes` against
+    * the target — the one builder of [[CandidateStats]] from file sizes.
     */
-  def observe(fileSizes: Seq[Long], targetBytes: Long): CandidateStats =
-    CandidateStats.ofSizes(fileSizes, targetBytes)
-      .copy(custom = Map(FileEntropy.name -> entropyOf(fileSizes, targetBytes)))
+  def observe(fileSizes: Seq[Long], targetBytes: Long): CandidateStats = {
+    val small = fileSizes.filter(_ < targetBytes)
+    CandidateStats(fileSizes.size, small.size, fileSizes.sum, small.sum, entropyOf(fileSizes, targetBytes))
+  }
 
   /** Orient phase: every trait value of observed statistics. */
   def orient(stats: CandidateStats, cfg: CompactionConfig): Map[String, Double] =

@@ -32,11 +32,7 @@ object CabExperiment {
       appendFiles: Int = 6,
       initialSf: Double = 0.004,
       initialLineitemFiles: Int = 8,
-      initialOrdersFiles: Int = 16,
-      targetFileSizeBytes: Long = 512L << 10, // 512 KB ≙ paper's 512 MB
-      executorMemoryGb: Double = 8.0,
-      rewriteBytesPerHour: Double = 256.0 * (1L << 20),
-      tableParallelism: Int = 4)
+      initialOrdersFiles: Int = 16)
 
   /** One strategy of the §6 sweep; `acfg=None` is the no-compaction
     * baseline.
@@ -77,8 +73,10 @@ object CabExperiment {
     }
   }
 
-  def compactionConfig(p: Params): CompactionConfig =
-    CompactionConfig(p.targetFileSizeBytes, p.executorMemoryGb, p.rewriteBytesPerHour)
+  /** Compaction settings of every §6 strategy: a 512 KB target (≙ the
+    * paper's 512 MB), 8 GB executors rewriting 256 MB per hour.
+    */
+  val compactionConfig: CompactionConfig = CompactionConfig(512L << 10, 8.0, 256.0 * (1L << 20))
 
   /** The paper's §6 strategy set: no compaction, TABLE-scope top-10, hybrid
     * top-50 and top-500, all with MOOP weights 0.7 (ΔF) / 0.3 (GBHr).
@@ -88,11 +86,10 @@ object CabExperiment {
     *   proportionally or every strategy covers the whole fleet each round
     *   and the curves collapse together). Labels keep the paper's names.
     */
-  def paperStrategies(p: Params, kDivisor: Int = 1): Vector[StrategyDef] = {
-    val cfg = compactionConfig(p)
+  def paperStrategies(kDivisor: Int = 1): Vector[StrategyDef] = {
     def acfg(strategy: ScopeStrategy, paperK: Int) = AutoCompConfig(
-      strategy, cfg, Seq(Filters.MinSmallFiles(2)), Ranker.defaultMoop,
-      Selector.TopK(math.max(1, paperK / kDivisor)), SchedulerConfig(p.tableParallelism))
+      strategy, compactionConfig, Seq(Filters.MinSmallFiles(2)), Ranker.defaultMoop,
+      Selector.TopK(math.max(1, paperK / kDivisor)))
     Vector(
       StrategyDef("nocomp", None),
       StrategyDef("table-10", Some(acfg(ScopeStrategy.TableScope, 10))),

@@ -14,8 +14,6 @@ object FleetExperiments {
   def prodCfg(nTables: Int = 35000): FleetConfig = FleetConfig(
     nTables = nTables,
     nDbs = 60,
-    seed = 7L,
-    execMemGb = 16.0,
     rewriteTbPerHour = 0.01,
     burstsPerDay = 300,
     minSmallFilesCandidate = 1000L,

@@ -24,12 +24,13 @@ object MaintenanceExperiment {
       sf: Double = 0.05,
       months: Int = 6,
       initialFiles: Int = 4,
-      maintenanceDeleteFraction: Double = 0.03,
       maintenanceAppendSf: Double = 0.0015, // ~3% of sf
       maintenanceAppendFiles: Int = 60,
-      queryRepeats: Int = 3,
-      targetFileSizeBytes: Long = 4L << 20,
-      seed: Long = 13L)
+      queryRepeats: Int = 3)
+
+  /** Share of rows the maintenance phase deletes from each table (~3%). */
+  private val MaintenanceDeleteFraction = 0.03
+  private val Seed = 13L
 
   /** The single-user phase: a fixed battery of read queries, repeated. */
   private def singleUserPhase(spark: SparkSession, catalog: LstCatalog, p: Params): Double = {
@@ -60,8 +61,8 @@ object MaintenanceExperiment {
     val li = catalog.createTable("tpch", "lineitem", Some("l_shipmonth"), nowMs = 0L)
     val ord = catalog.createTable("tpch", "orders", None, nowMs = 0L)
     LstWriter.append(spark, li,
-      SynthData.lineitemMonthly(spark, p.sf, p.months, p.seed), p.initialFiles)
-    LstWriter.append(spark, ord, SynthData.orders(spark, p.sf, p.seed + 1), p.initialFiles)
+      SynthData.lineitemMonthly(spark, p.sf, p.months, Seed), p.initialFiles)
+    LstWriter.append(spark, ord, SynthData.orders(spark, p.sf, Seed + 1), p.initialFiles)
 
     val out = Vector.newBuilder[PhaseResult]
     // Unmeasured warmup: JIT + codegen caches would otherwise inflate the
@@ -70,21 +71,21 @@ object MaintenanceExperiment {
     out += PhaseResult("initial", singleUserPhase(spark, catalog, p), liveFiles(catalog))
 
     // Maintenance: ~3% deleted (CoW) + fragmented incremental inserts
-    LstWriter.deleteFraction(spark, li, p.maintenanceDeleteFraction, None)
-    LstWriter.deleteFraction(spark, ord, p.maintenanceDeleteFraction, None)
+    LstWriter.deleteFraction(spark, li, MaintenanceDeleteFraction, None)
+    LstWriter.deleteFraction(spark, ord, MaintenanceDeleteFraction, None)
     LstWriter.append(spark, li,
-      SynthData.lineitemMonthly(spark, p.maintenanceAppendSf, p.months, p.seed + 4),
+      SynthData.lineitemMonthly(spark, p.maintenanceAppendSf, p.months, Seed + 4),
       p.maintenanceAppendFiles)
     LstWriter.append(spark, ord,
-      SynthData.orders(spark, p.maintenanceAppendSf, p.seed + 5),
+      SynthData.orders(spark, p.maintenanceAppendSf, Seed + 5),
       p.maintenanceAppendFiles)
 
     out += PhaseResult("degraded", singleUserPhase(spark, catalog, p), liveFiles(catalog))
 
     // Manual compaction (table scope, both tables)
-    val cfg = CompactionConfig(p.targetFileSizeBytes)
+    val cfg = CompactionConfig(4L << 20)
     catalog.allTables.foreach { ref =>
-      val cand = CandidateGenerator.forTable(catalog.table(ref), Scope.Table).head
+      val cand = CandidateGenerator.forTable(catalog.table(ref), ScopeStrategy.TableScope).head
       CompactionExecutor.compact(spark, catalog, cand, cfg)
     }
 

@@ -57,19 +57,12 @@ final case class DayMetrics(
 final case class FleetConfig(
     nTables: Int = 35000,
     nDbs: Int = 60,
-    seed: Long = 7L,
-    targetFileMb: Double = 512.0,
-    execMemGb: Double = 16.0,
     rewriteTbPerHour: Double = 1.0,
-    /** Pareto tail exponent for initial fragmentation & burst sizes. */
-    paretoAlpha: Double = 1.3,
     /** Mean of initial per-table small-file counts (heavy-tailed). */
     initialSmallFilesScale: Double = 800.0,
     /** Fragmentation bursts/day fleet-wide (migrations, backfills, CDC). */
     burstsPerDay: Int = 120,
     burstScale: Double = 5000.0,
-    /** Cap on a single burst (multiples of burstScale). */
-    burstCapFactor: Double = 60.0,
     dbQuotaObjects: Long = 2_000_000L,
     /** Observe-phase filter: tables below this small-file count are not
       * auto-compaction candidates (the OpenHouse "too small to matter"
@@ -94,15 +87,16 @@ final case class FleetConfig(
   * fleet statistics; only growth and the act phase are modeled analytically.
   */
 final class FleetSimulator(cfg: FleetConfig) {
+  import FleetSimulator._
 
   private val compactionCfg = CompactionConfig(
-    targetFileSizeBytes = (cfg.targetFileMb * (1L << 20)).toLong,
-    executorMemoryGb = cfg.execMemGb,
+    targetFileSizeBytes = 512L << 20,
+    executorMemoryGb = 16.0,
     rewriteBytesPerHour = cfg.rewriteTbPerHour * (1L << 40))
 
   /** Bounded Pareto draw (heavy tail, capped to keep the sim stable). */
   private def pareto(rng: DetRng, scale: Double, cap: Double): Double =
-    math.min(cap, scale / math.pow(1.0 - rng.nextDouble(), 1.0 / cfg.paretoAlpha) - scale + 1.0)
+    math.min(cap, scale / math.pow(1.0 - rng.nextDouble(), 1.0 / ParetoAlpha) - scale + 1.0)
 
   /** Deterministic initial fleet. Fragmentation is CORRELATED with write
     * activity (active tables are the fragmented ones), which is what keeps
@@ -110,7 +104,7 @@ final class FleetSimulator(cfg: FleetConfig) {
     * first cleanup.
     */
   def initialFleet(): Vector[FleetTable] = {
-    val rng = new DetRng(cfg.seed)
+    val rng = new DetRng(Seed)
     (0 until cfg.nTables).toVector.map { i =>
       val writeRate = pareto(rng.split(i + 4000000), 30.0, 2e4)
       val activity = writeRate / 30.0
@@ -143,7 +137,7 @@ final class FleetSimulator(cfg: FleetConfig) {
   }
 
   private def grow(tables: Vector[FleetTable], day: Int): Unit = {
-    val rng = new DetRng(DetRng.combine(cfg.seed, day.toLong, 0xfeedL))
+    val rng = new DetRng(DetRng.combine(Seed, day.toLong, 0xfeedL))
     // churn: some workflows change hands/shape — activity re-drawn
     if (cfg.writeRateChurnPerDay > 0) {
       val churnRng = rng.split(0x4151L)
@@ -163,33 +157,30 @@ final class FleetSimulator(cfg: FleetConfig) {
         if (i >= 0) i else -(i + 1)
       }
       val t = tables(math.min(idx, tables.size - 1))
-      t.smallFiles += pareto(r, cfg.burstScale, cfg.burstScale * cfg.burstCapFactor).toLong
+      t.smallFiles += pareto(r, cfg.burstScale, cfg.burstScale * BurstCapFactor).toLong
     }
   }
 
   /** Rank with the production configuration: [[Ranker.defaultMoop]] with
-    * the §7 quota-scaled benefit weight w1 = 0.5·(1 + used/total), clamped.
+    * the §7 quota-scaled benefit weight [[Ranker.quotaWeight]].
     */
   private def rankAll(tables: Vector[FleetTable]): Vector[ScoredCandidate] = {
     val usedByDb: Map[Int, Long] =
       tables.groupBy(_.db).map { case (db, ts) => db -> ts.map(_.totalFiles).sum }
-    def w1(c: Candidate): Double = {
-      val db = c.table.db.stripPrefix("db").toInt
-      val ratio = math.min(1.0, usedByDb(db).toDouble / cfg.dbQuotaObjects)
-      0.5 * (1.0 + ratio)
-    }
+    def w1(c: Candidate): Double =
+      Ranker.quotaWeight(usedByDb(c.table.db.stripPrefix("db").toInt), cfg.dbQuotaObjects)
     val costCapGbHr = cfg.maxCandidateTbHr * 1024.0
     val pool = tables
       .filter(t => t.smallFiles >= cfg.minSmallFilesCandidate &&
         Traits.gbHr(t.smallBytes, compactionCfg) <= costCapGbHr)
       .map { t =>
-      val cand = Candidate(TableRef(s"db${t.db}", s"t${t.id}"), Scope.Table, None, Vector.empty, 0L)
+      val cand = Candidate(TableRef(s"db${t.db}", s"t${t.id}"), None, Vector.empty)
       val stats = CandidateStats(
         fileCount = t.totalFiles.toInt.max(0),
         smallFileCount = t.smallFiles.toInt.max(0),
         totalBytes = t.smallBytes + t.largeFiles * compactionCfg.targetFileSizeBytes,
         smallBytes = t.smallBytes,
-        minFileBytes = 0L, maxFileBytes = 0L)
+        entropy = 0.0)
       (cand, stats)
     }
     Ranker.defaultMoop.copy(weightOverride = Some(w1)).rank(pool, compactionCfg)
@@ -265,4 +256,12 @@ final class FleetSimulator(cfg: FleetConfig) {
         openCalls = openCalls)
     }
   }
+}
+
+object FleetSimulator {
+  private val Seed = 7L
+  /** Pareto tail exponent for initial fragmentation & burst sizes. */
+  private val ParetoAlpha = 1.3
+  /** Cap on a single burst (multiples of `burstScale`). */
+  private val BurstCapFactor = 60.0
 }

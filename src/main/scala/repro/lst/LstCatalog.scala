@@ -3,40 +3,27 @@ package repro.lst
 import java.nio.file.{Files, Path}
 import scala.jdk.CollectionConverters._
 
-import repro.util.Json
-
-/** Per-database control-plane record (OpenHouse tenant analogue).
-  *
-  * @param objectQuota HDFS-namespace-style object quota for the tenant; used
-  *   by the production MOOP weight w1 = 0.5 * (1 + used/total) from §7.
-  */
-final case class DbMeta(db: String, objectQuota: Long)
-
 /** Minimal OpenHouse-style catalog: a directory tree of databases and
-  * tables, table creation timestamps, and per-database object quotas.
+  * tables with table creation timestamps.
   *
-  * Layout: `<root>/<db>/.db.json` and `<root>/<db>/<table>/...`
-  * ([[LstTable]] layout below each table directory).
+  * Layout: `<root>/<db>/.db` (an empty marker naming the database) and
+  * `<root>/<db>/<table>/...` ([[LstTable]] layout below each table
+  * directory).
   */
 final class LstCatalog(val root: Path) {
   Files.createDirectories(root)
 
   private def dbDir(db: String): Path = root.resolve(db)
-  private def dbMetaFile(db: String): Path = dbDir(db).resolve(".db.json")
+  private def dbMarker(db: String): Path = dbDir(db).resolve(".db")
 
-  def createDb(db: String, objectQuota: Long = Long.MaxValue): Unit = {
+  def createDb(db: String): Unit = {
     Files.createDirectories(dbDir(db))
-    Files.writeString(dbMetaFile(db), Json.write(DbMeta(db, objectQuota)))
+    Files.write(dbMarker(db), Array.emptyByteArray)
   }
-
-  def dbMeta(db: String): DbMeta = Json.read[DbMeta](Files.readString(dbMetaFile(db)))
-
-  def setQuota(db: String, objectQuota: Long): Unit =
-    Files.writeString(dbMetaFile(db), Json.write(dbMeta(db).copy(objectQuota = objectQuota)))
 
   def createTable(db: String, name: String, partitionColumn: Option[String],
                   nowMs: Long = System.currentTimeMillis()): LstTable = {
-    if (!Files.exists(dbMetaFile(db))) createDb(db)
+    if (!Files.exists(dbMarker(db))) createDb(db)
     LstTable.create(TableRef(db, name), dbDir(db).resolve(name), partitionColumn, nowMs)
   }
 
@@ -45,13 +32,10 @@ final class LstCatalog(val root: Path) {
 
   def table(ref: TableRef): LstTable = table(ref.db, ref.name)
 
-  def tableExists(db: String, name: String): Boolean =
-    Files.exists(dbDir(db).resolve(name).resolve("meta").resolve("version-hint.txt"))
-
   def listDbs: Vector[String] =
     if (!Files.isDirectory(root)) Vector.empty
     else Files.list(root).iterator.asScala
-      .filter(p => Files.isDirectory(p) && Files.exists(p.resolve(".db.json")))
+      .filter(p => Files.exists(p.resolve(".db")))
       .map(_.getFileName.toString).toVector.sorted
 
   def listTables(db: String): Vector[TableRef] =
@@ -61,12 +45,6 @@ final class LstCatalog(val root: Path) {
       .map(p => TableRef(db, p.getFileName.toString)).toVector.sortBy(_.name)
 
   def allTables: Vector[TableRef] = listDbs.flatMap(listTables)
-
-  /** Used object quota of a tenant = live data files across its tables
-    * (the NameNode-object analogue the paper's w1 formula divides by).
-    */
-  def usedQuota(db: String): Long =
-    listTables(db).map(r => table(r).currentSnapshot.fileCount.toLong).sum
 
   def dropTable(db: String, name: String): Unit = {
     val dir = dbDir(db).resolve(name)

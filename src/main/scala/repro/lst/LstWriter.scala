@@ -107,12 +107,15 @@ object LstWriter {
     files.foreach(f => Files.deleteIfExists(Path.of(f.path)))
 
   /** Append `df` to the table. Appends rebase, so a single commit attempt
-    * suffices (the LST never rejects a fast-append).
+    * suffices (the LST never rejects a fast-append). If the commit throws
+    * (e.g. a metadata I/O error), the staged files are deleted.
     */
   def append(spark: SparkSession, table: LstTable, df: DataFrame, filesTarget: Int): WriteResult = {
     val base = table.currentVersion
     val added = stage(spark, table, df, filesTarget, base)
-    val snap = table.commit(base, Append(added))
+    val snap =
+      try table.commit(base, Append(added))
+      catch { case e: Throwable => discard(added); throw e }
     WriteResult(table.ref, snap, added.size, added.map(_.sizeBytes).sum, 0, 0L, 1, 0, succeeded = true)
   }
 
@@ -178,13 +181,12 @@ object LstWriter {
     * re-planned files.
     *
     * Commits an [[Overwrite]] through [[replace]]: another writer removing a
-    * victim file makes the attempt re-plan and retry up to `maxRetries`
-    * times; each failed attempt counts as one client-side conflict (Table 1,
-    * left columns).
+    * victim file makes the attempt re-plan and retry up to 5 times; each
+    * failed attempt counts as one client-side conflict (Table 1, left
+    * columns).
     */
   def deleteFraction(spark: SparkSession, table: LstTable, rowFraction: Double,
-                     partition: Option[String], fileSample: Double = 1.0,
-                     maxRetries: Int = 5): WriteResult = {
+                     partition: Option[String], fileSample: Double = 1.0): WriteResult = {
     require(rowFraction >= 0 && rowFraction <= 1, s"bad rowFraction $rowFraction")
     def victims(snap: Snapshot): Vector[FileGroup] = {
       val pool = snap.filesIn(partition)
@@ -195,6 +197,6 @@ object LstWriter {
     def keep(df: DataFrame): DataFrame =
       df.filter(not(pmod(xxhash64(df.columns.map(col).toSeq: _*), lit(10000L))
         .lt(lit(math.round(rowFraction * 10000)))))
-    replace(spark, table, victims, Overwrite, maxRetries, keep)
+    replace(spark, table, victims, Overwrite, maxRetries = 5, keep)
   }
 }

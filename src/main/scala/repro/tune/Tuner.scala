@@ -17,7 +17,7 @@ final class Tuner(seed: Long) {
 
   val disabledThreshold: Double = 1.01
 
-  def optimize(workload: TunableWorkload, traitName: String,
+  def optimize(workload: WorkloadModel, traitName: String,
                iterations: Int): Vector[TuneResult] = {
     require(iterations >= 1)
     val rng = new DetRng(DetRng.combine(seed, DetRng.hashString(workload.name),
@@ -31,11 +31,5 @@ final class Tuner(seed: Long) {
       best = math.min(best, d)
       TuneResult(i, threshold, d, best)
     }
-  }
-
-  /** Convenience: the best (threshold, duration) pair of a run. */
-  def bestOf(results: Vector[TuneResult]): (Double, Double) = {
-    val b = results.minBy(_.durationSec)
-    (b.threshold, b.durationSec)
   }
 }

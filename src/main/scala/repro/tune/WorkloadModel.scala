@@ -3,17 +3,6 @@ package repro.tune
 import repro.core.{CompactionConfig, Traits, TriggerRule}
 import repro.util.DetRng
 
-/** A tunable workload: evaluate returns the end-to-end duration (seconds)
-  * of running it with an optimize-after-write compaction trigger firing at
-  * `threshold` on the named trait (§6.3; names as in [[TriggerRule.named]]).
-  * `threshold > 1` effectively disables auto-compaction (the "default"
-  * configuration in Fig. 9).
-  */
-trait TunableWorkload {
-  def name: String
-  def evaluate(traitName: String, threshold: Double): Double
-}
-
 /** Analytic LST-Bench workload model driving the Figure-9 experiments.
   *
   * The paper tunes thresholds over multi-hour cluster runs; each Figure-9
@@ -47,11 +36,14 @@ final case class WorkloadModel(
     rewriteSecPerGb: Double,
     contention: Double,
     initialSmallFiles: Int,
-    initialLargeFiles: Int,
-    seed: Long = 11L,
-    cfg: CompactionConfig = CompactionConfig(512L << 20)) extends TunableWorkload {
+    initialLargeFiles: Int) {
+  import WorkloadModel._
 
-  /** Per-table state: (smallFiles, largeFiles). Small files have
+  /** End-to-end duration (seconds) of the workload with an
+    * optimize-after-write compaction trigger firing at `threshold` on the
+    * named trait (§6.3; names as in [[TriggerRule.named]]). `threshold > 1`
+    * effectively disables auto-compaction (the "default" configuration in
+    * Fig. 9). Per-table state is (smallFiles, largeFiles): small files have
     * `fileSizeMb`; large files sit at target.
     */
   def evaluate(traitName: String, threshold: Double): Double = {
@@ -59,7 +51,7 @@ final case class WorkloadModel(
     // being tuned — seed it independently of traitName so different traits
     // are compared on identical runs.
     val rule = TriggerRule.named(traitName, threshold)
-    val rng = new DetRng(seed)
+    val rng = new DetRng(Seed)
     val small = Array.fill(nTables)(initialSmallFiles)
     val large = Array.fill(nTables)(initialLargeFiles)
     var duration = 0.0
@@ -102,6 +94,8 @@ final case class WorkloadModel(
 }
 
 object WorkloadModel {
+  private val Seed = 11L
+  private val cfg = CompactionConfig(512L << 20)
 
   /** TPC-DS WP1-like: fragmentation grows fast, queries dominate → the
     * right threshold pays for itself (paper: up to 2× query-time gain).

@@ -64,9 +64,11 @@ final class CabWorkload(
     val seed: Long,
     val months: Int = 6,
     val appendSf: Double = 0.002,
-    val appendFiles: Int = 6,
-    val burstHour: Int = 4) {
+    val appendFiles: Int = 6) {
   require(nDbs >= 1 && hours >= 1)
+
+  /** The hour of the batch archetype's maintenance burst. */
+  val burstHour: Int = 4
 
   def dbName(i: Int): String = f"cab_db$i%02d"
   def archetype(i: Int): String =
@@ -138,10 +140,10 @@ final class CabWorkload(
     */
   def setup(spark: SparkSession, catalog: LstCatalog,
             initialSf: Double = 0.004, initialLineitemFiles: Int = 8,
-            initialOrdersFiles: Int = 16, quota: Long = 100000L): Unit = {
+            initialOrdersFiles: Int = 16): Unit = {
     (0 until nDbs).foreach { i =>
       val db = dbName(i)
-      catalog.createDb(db, quota)
+      catalog.createDb(db)
       val li = catalog.createTable(db, "lineitem", Some("l_shipmonth"), nowMs = 0L)
       val ord = catalog.createTable(db, "orders", None, nowMs = 0L)
       val liSeed = DetRng.combine(seed, i.toLong, 101L)

@@ -8,7 +8,6 @@ import org.apache.spark.sql.functions._
 
 import repro.SynthData
 import repro.lst._
-import repro.util.DetRng
 
 /** Client-side timing/result record for one read query. */
 final case class QueryMetric(hour: Int, db: String, queryId: Int,

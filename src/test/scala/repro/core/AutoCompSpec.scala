@@ -31,7 +31,6 @@ class AutoCompSpec extends LstFixture {
     val report = new AutoComp(c).runOnce(spark, acfg())
     assert(report.ranked == 1 && report.selected.size == 1)
     assert(report.feedbackFileCounts == Map("db1.orders" -> 1))
-    assert(report.totalGbHr > 0.0)
     assert(report.bytesRewritten > 0L)
     assert(report.clusterConflicts == 0)
     assert(report.netFileReduction == 5)
@@ -62,9 +61,9 @@ class AutoCompSpec extends LstFixture {
     loadedLineitem(c, months = 3, filesPerPartition = 3)
     loadedOrders(c, files = 5)
     val report = new AutoComp(c).runOnce(spark, acfg(strategy = ScopeStrategy.Hybrid))
-    val scopes = report.selected.map(_.candidate.scope).toSet
-    assert(scopes.contains(Scope.Table))
-    assert(scopes.contains(Scope.Partition))
+    val partitions = report.selected.map(_.candidate.partition)
+    assert(partitions.exists(_.isEmpty))
+    assert(partitions.exists(_.isDefined))
     // every lineitem partition compacted to 1 file
     val li = c.table("db1", "lineitem").currentSnapshot
     li.partitions.foreach(p => assert(li.filesIn(Some(p)).size == 1))
@@ -90,7 +89,7 @@ class AutoCompSpec extends LstFixture {
     val report = new AutoComp(c).runOnce(spark,
       acfg(selector = Selector.BudgetGreedy(perTable * 1.5)))
     assert(report.selected.size == 1)
-    assert(report.totalGbHr <= perTable * 1.5)
+    assert(Traits.gbHr(report.bytesRewritten, cfg) <= perTable * 1.5)
   }
 
   test("deterministic selection across identical catalogs (NFR2)") {

@@ -7,17 +7,16 @@ class CandidateGeneratorSpec extends LstFixture {
   test("table scope yields one candidate with the full inventory") {
     val c = freshCatalog()
     val t = loadedOrders(c, files = 5)
-    val cands = CandidateGenerator.forTable(t, Scope.Table)
+    val cands = CandidateGenerator.forTable(t, ScopeStrategy.TableScope)
     assert(cands.size == 1)
     assert(cands.head.files.size == 5)
     assert(cands.head.partition.isEmpty)
-    assert(cands.head.baseVersion == t.currentVersion)
   }
 
   test("partition scope yields one candidate per partition, sorted") {
     val c = freshCatalog()
     val t = loadedLineitem(c, months = 3)
-    val cands = CandidateGenerator.forTable(t, Scope.Partition)
+    val cands = CandidateGenerator.forTable(t, ScopeStrategy.PartitionScope)
     val parts = t.currentSnapshot.partitions
     assert(cands.map(_.partition.get) == parts)
     assert(cands.flatMap(_.files).size == t.currentSnapshot.fileCount)
@@ -27,7 +26,7 @@ class CandidateGeneratorSpec extends LstFixture {
   test("partition scope on unpartitioned table groups under None") {
     val c = freshCatalog()
     val t = loadedOrders(c, files = 4)
-    val cands = CandidateGenerator.forTable(t, Scope.Partition)
+    val cands = CandidateGenerator.forTable(t, ScopeStrategy.PartitionScope)
     assert(cands.size == 1 && cands.head.partition.isEmpty)
   }
 
@@ -36,7 +35,7 @@ class CandidateGeneratorSpec extends LstFixture {
     val t = c.createTable("db1", "o", None)
     LstWriter.append(spark, t, tinyOrders(sf = 0.0005, seed = 1), 3) // v1
     LstWriter.append(spark, t, tinyOrders(sf = 0.0005, seed = 2), 4) // v2
-    val cands = CandidateGenerator.forTable(t, Scope.SnapshotTail(1))
+    val cands = CandidateGenerator.forTable(t, ScopeStrategy.SnapshotScope(1))
     assert(cands.head.files.size == 4) // only v2's files
     assert(cands.head.files.forall(_.addedVersion == 2L))
   }
@@ -44,7 +43,7 @@ class CandidateGeneratorSpec extends LstFixture {
   test("snapshot tail wider than history covers everything") {
     val c = freshCatalog()
     val t = loadedOrders(c, files = 3)
-    val cands = CandidateGenerator.forTable(t, Scope.SnapshotTail(100))
+    val cands = CandidateGenerator.forTable(t, ScopeStrategy.SnapshotScope(100))
     assert(cands.head.files.size == 3)
   }
 
@@ -62,9 +61,9 @@ class CandidateGeneratorSpec extends LstFixture {
     loadedOrders(c, name = "ord", files = 3)
     val cands = CandidateGenerator.generate(c, ScopeStrategy.Hybrid)
     val byTable = cands.groupBy(_.table.name)
-    assert(byTable("li").forall(_.scope == Scope.Partition))
+    assert(byTable("li").forall(_.partition.isDefined))
     assert(byTable("li").size >= 2)
-    assert(byTable("ord").size == 1 && byTable("ord").head.scope == Scope.Table)
+    assert(byTable("ord").size == 1 && byTable("ord").head.partition.isEmpty)
   }
 
   test("empty table yields an empty-file candidate at table scope") {
@@ -81,7 +80,7 @@ class CandidateGeneratorSpec extends LstFixture {
   }
 
   test("candidate id includes partition") {
-    val c = Candidate(TableRef("d", "t"), Scope.Partition, Some("1992-01"), Vector.empty, 0)
+    val c = Candidate(TableRef("d", "t"), Some("1992-01"), Vector.empty)
     assert(c.id == "d.t/1992-01")
   }
 }

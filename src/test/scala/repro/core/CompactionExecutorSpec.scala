@@ -16,7 +16,7 @@ class CompactionExecutorSpec extends LstFixture {
   test("table-scope compaction merges small files of an unpartitioned table") {
     val c = freshCatalog()
     val t = loadedOrders(c, files = 8)
-    val cand = CandidateGenerator.forTable(t, Scope.Table).head
+    val cand = CandidateGenerator.forTable(t, ScopeStrategy.TableScope).head
     val res = CompactionExecutor.compact(spark, c, cand, cfg)
     assert(res.succeeded && !res.skipped)
     assert(res.removedFiles == 8)
@@ -30,7 +30,7 @@ class CompactionExecutorSpec extends LstFixture {
     val df = tinyOrders(sf = 0.001)
     val t = c.createTable("db1", "o", None)
     LstWriter.append(spark, t, df, 7)
-    val cand = CandidateGenerator.forTable(t, Scope.Table).head
+    val cand = CandidateGenerator.forTable(t, ScopeStrategy.TableScope).head
     CompactionExecutor.compact(spark, c, cand, cfg)
     val got = LstReader.scan(spark, t).df
       .groupBy(col("o_orderstatus") as "st")
@@ -46,7 +46,7 @@ class CompactionExecutorSpec extends LstFixture {
     val c = freshCatalog()
     val t = loadedLineitem(c, sf = 0.002, months = 3, filesPerPartition = 4)
     val before = t.currentSnapshot
-    val cand = CandidateGenerator.forTable(t, Scope.Table).head
+    val cand = CandidateGenerator.forTable(t, ScopeStrategy.TableScope).head
     val res = CompactionExecutor.compact(spark, c, cand, cfg)
     assert(res.succeeded)
     val after = t.currentSnapshot
@@ -67,7 +67,7 @@ class CompactionExecutorSpec extends LstFixture {
     val c = freshCatalog()
     val t = loadedLineitem(c, months = 3, filesPerPartition = 3)
     val before = t.currentSnapshot
-    val cands = CandidateGenerator.forTable(t, Scope.Partition)
+    val cands = CandidateGenerator.forTable(t, ScopeStrategy.PartitionScope)
     val victim = cands.head
     CompactionExecutor.compact(spark, c, victim, cfg)
     val after = t.currentSnapshot
@@ -85,7 +85,7 @@ class CompactionExecutorSpec extends LstFixture {
     val target = sizes.sorted.apply(sizes.size / 2)
     val tight = cfg.copy(targetFileSizeBytes = target)
     val big = t.currentSnapshot.files.filter(_.sizeBytes >= target).map(_.path).toSet
-    val cand = CandidateGenerator.forTable(t, Scope.Table).head
+    val cand = CandidateGenerator.forTable(t, ScopeStrategy.TableScope).head
     val res = CompactionExecutor.compact(spark, c, cand, tight)
     assert(res.succeeded)
     val after = t.currentSnapshot.files.map(_.path).toSet
@@ -95,7 +95,7 @@ class CompactionExecutorSpec extends LstFixture {
   test("skip when nothing can shrink (single small file)") {
     val c = freshCatalog()
     val t = loadedOrders(c, files = 1)
-    val cand = CandidateGenerator.forTable(t, Scope.Table).head
+    val cand = CandidateGenerator.forTable(t, ScopeStrategy.TableScope).head
     val res = CompactionExecutor.compact(spark, c, cand, cfg)
     assert(res.skipped && res.succeeded)
     assert(res.removedFiles == 0 && res.gbHr == 0.0)
@@ -104,7 +104,7 @@ class CompactionExecutorSpec extends LstFixture {
   test("skip on empty candidate") {
     val c = freshCatalog()
     val t = c.createTable("db1", "empty", None)
-    val cand = CandidateGenerator.forTable(t, Scope.Table).head
+    val cand = CandidateGenerator.forTable(t, ScopeStrategy.TableScope).head
     val res = CompactionExecutor.compact(spark, c, cand, cfg)
     assert(res.skipped)
   }
@@ -113,7 +113,7 @@ class CompactionExecutorSpec extends LstFixture {
     val c = freshCatalog()
     val t = loadedOrders(c, files = 5)
     val bytes = t.currentSnapshot.totalBytes
-    val cand = CandidateGenerator.forTable(t, Scope.Table).head
+    val cand = CandidateGenerator.forTable(t, ScopeStrategy.TableScope).head
     val res = CompactionExecutor.compact(spark, c, cand, cfg)
     assert(res.bytesRewritten == bytes)
     assert(math.abs(res.gbHr - cfg.executorMemoryGb * bytes / cfg.rewriteBytesPerHour) < 1e-12)
@@ -122,7 +122,7 @@ class CompactionExecutorSpec extends LstFixture {
   test("stale candidate is re-planned without conflict (files gone before start)") {
     val c = freshCatalog()
     val t = loadedOrders(c, files = 6)
-    val cand = CandidateGenerator.forTable(t, Scope.Table).head
+    val cand = CandidateGenerator.forTable(t, ScopeStrategy.TableScope).head
     // a user overwrite removes one candidate file BEFORE compaction starts:
     // the executor re-plans against the fresh snapshot, so no conflict
     t.commit(t.currentVersion, Overwrite(Vector(cand.files.head.path), Vector.empty))
@@ -135,7 +135,7 @@ class CompactionExecutorSpec extends LstFixture {
   test("mid-flight overwrite causes a cluster conflict, then retry succeeds") {
     val c = freshCatalog()
     val t = loadedOrders(c, files = 6)
-    val cand = CandidateGenerator.forTable(t, Scope.Table).head
+    val cand = CandidateGenerator.forTable(t, ScopeStrategy.TableScope).head
     val res = CompactionExecutor.compact(spark, c, cand, cfg, maxRetries = 3,
       beforeCommit = attempt =>
         if (attempt == 1) { // racing user RMW lands inside the commit window
@@ -151,7 +151,7 @@ class CompactionExecutorSpec extends LstFixture {
   test("gives up after maxRetries under sustained conflicts") {
     val c = freshCatalog()
     val t = loadedOrders(c, files = 8)
-    val cand = CandidateGenerator.forTable(t, Scope.Table).head
+    val cand = CandidateGenerator.forTable(t, ScopeStrategy.TableScope).head
     // every attempt loses the race: a user RMW always lands in the window
     val res = CompactionExecutor.compact(spark, c, cand, cfg, maxRetries = 2,
       beforeCommit = _ => {
@@ -167,7 +167,7 @@ class CompactionExecutorSpec extends LstFixture {
   test("conflict cleanup removes orphaned staged files") {
     val c = freshCatalog()
     val t = loadedOrders(c, files = 6)
-    val cand = CandidateGenerator.forTable(t, Scope.Table).head
+    val cand = CandidateGenerator.forTable(t, ScopeStrategy.TableScope).head
     CompactionExecutor.compact(spark, c, cand, cfg, maxRetries = 3,
       beforeCommit = attempt =>
         if (attempt == 1) {
@@ -184,7 +184,7 @@ class CompactionExecutorSpec extends LstFixture {
     val c = freshCatalog()
     val t = loadedOrders(c, files = 6)
     val before = t.currentSnapshot
-    val cand = CandidateGenerator.forTable(t, Scope.Table).head
+    val cand = CandidateGenerator.forTable(t, ScopeStrategy.TableScope).head
     intercept[RuntimeException] {
       CompactionExecutor.compact(spark, c, cand, cfg,
         beforeCommit = _ => throw new RuntimeException("injected failure"))
@@ -200,7 +200,7 @@ class CompactionExecutorSpec extends LstFixture {
     // groups are rewritten in partition order: the first one is staged
     // before the second one's read fails
     Files.delete(Path.of(snap.filesIn(Some(snap.partitions(1))).head.path))
-    val cand = CandidateGenerator.forTable(t, Scope.Table).head
+    val cand = CandidateGenerator.forTable(t, ScopeStrategy.TableScope).head
     intercept[Exception](CompactionExecutor.compact(spark, c, cand, cfg))
     assert(t.currentVersion == snap.version)
     assertNothingLeftBehind(t)

@@ -9,8 +9,8 @@ class FiltersSpec extends LstFixture {
 
   private def cand(name: String, sizes: Seq[Long]): (Candidate, CandidateStats) = {
     val files = sizes.zipWithIndex.map { case (s, i) => DataFile(s"/$name/$i", None, s, 1L, 1L) }.toVector
-    val c = Candidate(TableRef("d", name), Scope.Table, None, files, 1L)
-    (c, CandidateStats.of(c, cfg.targetFileSizeBytes))
+    val c = Candidate(TableRef("d", name), None, files)
+    (c, Traits.observe(c.files.map(_.sizeBytes), cfg.targetFileSizeBytes))
   }
 
   test("MinSmallFiles keeps candidates with enough small files") {
@@ -50,8 +50,8 @@ class FiltersSpec extends LstFixture {
     val t = c.createTable("db1", "o", None)
     LstWriter.append(spark, t, tinyOrders(sf = 0.0005, seed = 1), 2) // v1
     LstWriter.append(spark, t, tinyOrders(sf = 0.0005, seed = 2), 2) // v2
-    val candv = CandidateGenerator.forTable(t, Scope.Table).head
-    val stats = CandidateStats.of(candv, 1000L)
+    val candv = CandidateGenerator.forTable(t, ScopeStrategy.TableScope).head
+    val stats = Traits.observe(candv.files.map(_.sizeBytes), 1000L)
     assert(!Filters.NoWriteInLastVersions(c, 1).keep(candv, stats)) // v2 files are fresh
     // with window 0 nothing is "fresh"
     assert(Filters.NoWriteInLastVersions(c, 0).keep(candv, stats))

@@ -14,8 +14,8 @@ class RankerSpec extends AnyFunSuite {
     val files = (0 until nSmall).map(i =>
       DataFile(s"/$name/s$i", None, smallSize, 1L, 1L)).toVector :+
       DataFile(s"/$name/big", None, 5000L, 1L, 1L)
-    val c = Candidate(TableRef("d", name), Scope.Table, None, files, 1L)
-    (c, CandidateStats.of(c, cfg.targetFileSizeBytes))
+    val c = Candidate(TableRef("d", name), None, files)
+    (c, Traits.observe(c.files.map(_.sizeBytes), cfg.targetFileSizeBytes))
   }
 
   test("minMaxNormalize maps to [0,1] with min→0 and max→1") {

@@ -25,8 +25,8 @@ class SelectionPropertiesSpec extends AnyFunSuite {
     val files = sizes.zipWithIndex.map { case (s, i) =>
       DataFile(s"/$name/$i", None, s, 1L, 1L)
     }.toVector
-    val c = Candidate(TableRef("d", name), Scope.Table, None, files, 1L)
-    (c, CandidateStats.of(c, cfg.targetFileSizeBytes))
+    val c = Candidate(TableRef("d", name), None, files)
+    (c, Traits.observe(c.files.map(_.sizeBytes), cfg.targetFileSizeBytes))
   }
 
   private val genPool: Gen[Vector[(Candidate, CandidateStats)]] =
@@ -105,9 +105,7 @@ class SelectionPropertiesSpec extends AnyFunSuite {
   test("property: stats are internally consistent") {
     checkProp(Prop.forAll(genCandidate) { case (_, s) =>
       s.smallFileCount <= s.fileCount &&
-        s.smallBytes <= s.totalBytes &&
-        s.minFileBytes <= s.maxFileBytes &&
-        (s.smallFileRatio >= 0.0 && s.smallFileRatio <= 1.0)
+        s.smallBytes <= s.totalBytes
     })
   }
 }

@@ -14,7 +14,7 @@ class TraitsSpec extends AnyFunSuite {
     val files = sizes.zipWithIndex.map { case (s, i) =>
       DataFile(s"/f$i", part, s, 10L, 1L)
     }.toVector
-    Candidate(TableRef("d", "t"), Scope.Table, None, files, 1L)
+    Candidate(TableRef("d", "t"), None, files)
   }
 
   private def checkProp(p: Prop): Unit = {
@@ -23,38 +23,31 @@ class TraitsSpec extends AnyFunSuite {
   }
 
   test("CandidateStats.of computes counts/bytes against target") {
-    val s = CandidateStats.of(cand(Seq(100, 500, 1000, 2000)), 1000L)
+    val s = Traits.observe(cand(Seq(100, 500, 1000, 2000)).files.map(_.sizeBytes), 1000L)
     assert(s.fileCount == 4)
     assert(s.smallFileCount == 2)
     assert(s.totalBytes == 3600L)
     assert(s.smallBytes == 600L)
-    assert(s.minFileBytes == 100L && s.maxFileBytes == 2000L)
   }
 
   test("CandidateStats.of on empty candidate") {
-    val s = CandidateStats.of(cand(Seq.empty), 1000L)
-    assert(s == CandidateStats(0, 0, 0L, 0L, 0L, 0L))
-    assert(s.smallFileRatio == 0.0)
-  }
-
-  test("smallFileRatio") {
-    val s = CandidateStats.of(cand(Seq(10, 10, 10, 2000)), 1000L)
-    assert(s.smallFileRatio == 0.75)
+    val s = Traits.observe(cand(Seq.empty).files.map(_.sizeBytes), 1000L)
+    assert(s == CandidateStats(0, 0, 0L, 0L, 0.0))
   }
 
   test("FileCountReduction equals paper's ΔF (count of files under target)") {
-    val s = CandidateStats.of(cand(Seq(10, 999, 1000, 5000)), 1000L)
+    val s = Traits.observe(cand(Seq(10, 999, 1000, 5000)).files.map(_.sizeBytes), 1000L)
     assert(Traits.FileCountReduction.compute(s, cfg) == 2.0)
   }
 
   test("AdjustedFileCountReduction subtracts files still produced") {
     // 4 small files of 600 B → 2400 B → ceil(2.4) = 3 outputs → adj = 1
-    val s = CandidateStats.of(cand(Seq.fill(4)(600L)), 1000L)
+    val s = Traits.observe(cand(Seq.fill(4)(600L)).files.map(_.sizeBytes), 1000L)
     assert(Traits.AdjustedFileCountReduction.compute(s, cfg) == 1.0)
   }
 
   test("AdjustedFileCountReduction never negative") {
-    val s = CandidateStats.of(cand(Seq(999L)), 1000L) // 1 small file → 1 output
+    val s = Traits.observe(cand(Seq(999L)).files.map(_.sizeBytes), 1000L) // 1 small file → 1 output
     assert(Traits.AdjustedFileCountReduction.compute(s, cfg) == 0.0)
   }
 
@@ -85,13 +78,13 @@ class TraitsSpec extends AnyFunSuite {
   }
 
   test("compute cost follows GBHr formula over small bytes") {
-    val s = CandidateStats.of(cand(Seq(100L, 900L, 5000L)), 1000L)
+    val s = Traits.observe(cand(Seq(100L, 900L, 5000L)).files.map(_.sizeBytes), 1000L)
     // smallBytes = 1000; 8 GB × 1000/1e6 h = 0.008
     assert(math.abs(Traits.ComputeCostGbHr.compute(s, cfg) - 0.008) < 1e-12)
   }
 
   test("compute cost scales linearly with executor memory") {
-    val s = CandidateStats.of(cand(Seq(500L)), 1000L)
+    val s = Traits.observe(cand(Seq(500L)).files.map(_.sizeBytes), 1000L)
     val c1 = Traits.ComputeCostGbHr.compute(s, cfg)
     val c2 = Traits.ComputeCostGbHr.compute(s, cfg.copy(executorMemoryGb = 16.0))
     assert(math.abs(c2 - 2 * c1) < 1e-12)
@@ -99,7 +92,6 @@ class TraitsSpec extends AnyFunSuite {
 
   test("observeAndOrient injects entropy and computes all traits") {
     val (stats, traits) = Traits.observeAndOrient(cand(Seq(100L, 2000L)), cfg)
-    assert(stats.custom.contains("fileEntropy"))
     assert(Traits.all.forall(t => traits.contains(t.name)))
     assert(traits("fileCountReduction") == 1.0)
     assert(traits("fileEntropy") > 0.0)

@@ -10,8 +10,7 @@ class ExperimentSmokeSpec extends LstFixture {
   private val tiny = CabExperiment.Params(
     nDbs = 2, hours = 2, seed = 9, months = 3,
     appendSf = 0.0005, appendFiles = 3,
-    initialSf = 0.001, initialLineitemFiles = 3, initialOrdersFiles = 4,
-    targetFileSizeBytes = 512L << 10)
+    initialSf = 0.001, initialLineitemFiles = 3, initialOrdersFiles = 4)
 
   test("CabExperiment nocomp baseline grows the file count") {
     val res = CabExperiment.runStrategy(spark, tiny, CabExperiment.StrategyDef("nocomp", None))
@@ -22,7 +21,7 @@ class ExperimentSmokeSpec extends LstFixture {
   }
 
   test("CabExperiment with table-scope compaction reduces files vs baseline") {
-    val strategies = CabExperiment.paperStrategies(tiny)
+    val strategies = CabExperiment.paperStrategies()
     val nocomp = CabExperiment.runStrategy(spark, tiny, strategies(0))
     val table10 = CabExperiment.runStrategy(spark, tiny, strategies(1))
     assert(table10.hours.last.fileCountEnd < nocomp.hours.last.fileCountEnd)
@@ -41,7 +40,7 @@ class ExperimentSmokeSpec extends LstFixture {
   }
 
   test("paperStrategies defines the §6 sweep") {
-    val s = CabExperiment.paperStrategies(tiny)
+    val s = CabExperiment.paperStrategies()
     assert(s.map(_.name) == Vector("nocomp", "table-10", "hybrid-50", "hybrid-500"))
     assert(s.head.acfg.isEmpty && s.tail.forall(_.acfg.isDefined))
   }
@@ -50,7 +49,7 @@ class ExperimentSmokeSpec extends LstFixture {
     val p = MaintenanceExperiment.Params(
       sf = 0.01, months = 3, initialFiles = 3,
       maintenanceAppendSf = 0.0005, maintenanceAppendFiles = 40,
-      queryRepeats = 2, targetFileSizeBytes = 4L << 20)
+      queryRepeats = 2)
     val phases = MaintenanceExperiment.run(spark, p)
     assert(phases.map(_.phase) == Vector("initial", "degraded", "compacted"))
     val Vector(initial, degraded, compacted) = phases
@@ -74,7 +73,7 @@ class ExperimentSmokeSpec extends LstFixture {
     }
     val (meanBefore, nBefore) = meanSizeAndCount()
     val acfg = repro.core.AutoCompConfig(
-      repro.core.ScopeStrategy.TableScope, CabExperiment.compactionConfig(tiny),
+      repro.core.ScopeStrategy.TableScope, CabExperiment.compactionConfig,
       Seq(repro.core.Filters.MinSmallFiles(2)),
       repro.core.Ranker.defaultMoop, repro.core.Selector.TopK(100))
     new repro.core.AutoComp(c).runOnce(spark, acfg)

@@ -5,7 +5,7 @@ import org.scalatest.funsuite.AnyFunSuite
 class FleetSimulatorSpec extends AnyFunSuite {
 
   /** Small fleet for fast tests. */
-  private val cfg = FleetConfig(nTables = 500, nDbs = 10, seed = 7,
+  private val cfg = FleetConfig(nTables = 500, nDbs = 10,
     initialSmallFilesScale = 500.0, burstsPerDay = 10, burstScale = 2000.0,
     dbQuotaObjects = 100000L)
   private def sim = new FleetSimulator(cfg)

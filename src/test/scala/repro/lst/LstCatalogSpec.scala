@@ -2,19 +2,6 @@ package repro.lst
 
 class LstCatalogSpec extends LstFixture {
 
-  test("createDb and dbMeta") {
-    val c = freshCatalog()
-    c.createDb("dbA", objectQuota = 500L)
-    assert(c.dbMeta("dbA") == DbMeta("dbA", 500L))
-  }
-
-  test("setQuota updates") {
-    val c = freshCatalog()
-    c.createDb("dbA", 500L)
-    c.setQuota("dbA", 900L)
-    assert(c.dbMeta("dbA").objectQuota == 900L)
-  }
-
   test("createTable auto-creates db") {
     val c = freshCatalog()
     val t = c.createTable("dbX", "t1", None, nowMs = 77L)
@@ -30,14 +17,6 @@ class LstCatalogSpec extends LstFixture {
     assert(t.meta.partitionColumn.contains("p"))
   }
 
-  test("tableExists") {
-    val c = freshCatalog()
-    c.createTable("db1", "t1", None)
-    assert(c.tableExists("db1", "t1"))
-    assert(!c.tableExists("db1", "nope"))
-    assert(!c.tableExists("nodb", "t1"))
-  }
-
   test("listTables sorted, allTables across dbs") {
     val c = freshCatalog()
     c.createTable("db2", "zz", None)
@@ -51,20 +30,10 @@ class LstCatalogSpec extends LstFixture {
     assert(freshCatalog().listTables("nope").isEmpty)
   }
 
-  test("usedQuota counts live files across db tables") {
-    val c = freshCatalog()
-    val t1 = c.createTable("db1", "t1", None)
-    val t2 = c.createTable("db1", "t2", None)
-    t1.commit(0, Append(Vector(DataFile("/a", None, 1, 1, 1), DataFile("/b", None, 1, 1, 1))))
-    t2.commit(0, Append(Vector(DataFile("/c", None, 1, 1, 1))))
-    assert(c.usedQuota("db1") == 3L)
-  }
-
   test("dropTable removes everything") {
     val c = freshCatalog()
     c.createTable("db1", "t1", None)
     c.dropTable("db1", "t1")
-    assert(!c.tableExists("db1", "t1"))
     assert(c.listTables("db1").isEmpty)
   }
 }

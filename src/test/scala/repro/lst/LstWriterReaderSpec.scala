@@ -1,7 +1,8 @@
 package repro.lst
 
 import java.io.IOException
-import java.nio.file.Files
+import java.nio.file.{Files, Path}
+import scala.jdk.CollectionConverters._
 
 import org.apache.spark.sql.functions._
 
@@ -187,6 +188,18 @@ class LstWriterReaderSpec extends LstFixture {
       LstWriter.stage(spark, t, tinyOrders(sf = 0.0005), 4, baseVersion = 0, partition = Some("p"))
     }
     assertNothingLeftBehind(t)
+  }
+
+  test("append deletes its staged files when the commit throws") {
+    val c = freshCatalog()
+    val t = c.createTable("db1", "o", None)
+    // staging succeeds; the commit cannot read the base snapshot
+    Files.delete(t.root.resolve("meta").resolve("v000000.json"))
+    intercept[IOException](LstWriter.append(spark, t, tinyOrders(sf = 0.0005), 4))
+    def names(dir: Path): Vector[String] =
+      Files.list(dir).iterator.asScala.map(_.getFileName.toString).toVector
+    assert(!names(t.dataDir).exists(_.endsWith(".parquet")), s"data/ holds ${names(t.dataDir)}")
+    assert(names(t.tmpDir).isEmpty, s"tmp/ holds ${names(t.tmpDir)}")
   }
 
   test("replace deletes the staged files of a conflicted attempt") {

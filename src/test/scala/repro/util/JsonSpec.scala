@@ -37,11 +37,6 @@ class JsonSpec extends AnyFunSuite {
     assert(Json.read[TableMeta](Json.write(m)) == m)
   }
 
-  test("DbMeta round-trip") {
-    val m = DbMeta("db9", 123456L)
-    assert(Json.read[DbMeta](Json.write(m)) == m)
-  }
-
   test("serialization is deterministic") {
     val s = Snapshot(7L, Snapshot.OpRewrite, 1000L, Vector(df), 1, 2)
     assert(Json.write(s) == Json.write(s))

@@ -79,11 +79,4 @@ class CabWorkloadSpec extends LstFixture {
     assert(li.partitions.size == 3)
     li.partitions.foreach(p => assert(li.filesIn(Some(p)).size == 4))
   }
-
-  test("setup sets the db quota") {
-    val c = freshCatalog()
-    val w = new CabWorkload(1, 1, seed = 3)
-    w.setup(spark, c, initialSf = 0.0005, quota = 777L)
-    assert(c.dbMeta(w.dbName(0)).objectQuota == 777L)
-  }
 }
