@@ -45,6 +45,7 @@ object CabExperiment {
       hour: Int,
       fileCountEnd: Long,
       writeQueries: Int,
+      failedOps: Int,
       clientConflicts: Int,
       clusterConflicts: Int,
       compactionUnits: Int,
@@ -126,6 +127,7 @@ object CabExperiment {
           hour = hourPlan.hour,
           fileCountEnd = runner.totalFileCount,
           writeQueries = metrics.writeQueries,
+          failedOps = metrics.failedOps,
           clientConflicts = metrics.clientConflicts,
           clusterConflicts = report.fold(0)(_.clusterConflicts),
           compactionUnits = report.fold(0)(_.succeededUnits),
@@ -134,9 +136,10 @@ object CabExperiment {
           compactionNetReduction = report.fold(0)(_.netFileReduction),
           readLatency = metrics.latencyPercentiles,
           readWriteLatency = metrics.readWriteLatency,
-          meanFilesScannedPerRead =
-            if (metrics.reads.isEmpty) 0.0
-            else metrics.reads.map(_.filesScanned).sum.toDouble / metrics.reads.size)
+          meanFilesScannedPerRead = {
+            val reads = metrics.reads.filter(_.succeeded)
+            if (reads.isEmpty) 0.0 else reads.map(_.filesScanned).sum.toDouble / reads.size
+          })
       }
       StrategyResult(strat.name, initialFiles, records, (System.nanoTime() - t0) / 1000000L)
     } finally {

@@ -2,6 +2,7 @@ package repro.lst
 
 import java.nio.file.{Files, Path}
 import scala.jdk.CollectionConverters._
+import scala.util.Using
 
 /** Minimal OpenHouse-style catalog: a directory tree of databases and
   * tables with table creation timestamps.
@@ -34,22 +35,22 @@ final class LstCatalog(val root: Path) {
 
   def listDbs: Vector[String] =
     if (!Files.isDirectory(root)) Vector.empty
-    else Files.list(root).iterator.asScala
+    else Using.resource(Files.list(root))(_.iterator.asScala
       .filter(p => Files.exists(p.resolve(".db")))
-      .map(_.getFileName.toString).toVector.sorted
+      .map(_.getFileName.toString).toVector.sorted)
 
   def listTables(db: String): Vector[TableRef] =
     if (!Files.isDirectory(dbDir(db))) Vector.empty
-    else Files.list(dbDir(db)).iterator.asScala
+    else Using.resource(Files.list(dbDir(db)))(_.iterator.asScala
       .filter(p => Files.exists(p.resolve("meta").resolve("version-hint.txt")))
-      .map(p => TableRef(db, p.getFileName.toString)).toVector.sortBy(_.name)
+      .map(p => TableRef(db, p.getFileName.toString)).toVector.sortBy(_.name))
 
   def allTables: Vector[TableRef] = listDbs.flatMap(listTables)
 
   def dropTable(db: String, name: String): Unit = {
     val dir = dbDir(db).resolve(name)
     if (Files.exists(dir)) {
-      Files.walk(dir).iterator.asScala.toVector.reverse.foreach(Files.deleteIfExists(_))
+      Using.resource(Files.walk(dir))(_.iterator.asScala.toVector).reverse.foreach(Files.deleteIfExists(_))
     }
   }
 }

@@ -3,6 +3,7 @@ package repro.lst
 import java.nio.file.{Files, Path, StandardCopyOption}
 import java.util.concurrent.ConcurrentHashMap
 import scala.jdk.CollectionConverters._
+import scala.util.Using
 
 import repro.util.Json
 
@@ -139,7 +140,7 @@ final class LstTable private (val ref: TableRef, val root: Path) {
     val live = currentSnapshot.files.iterator.map(f => Path.of(f.path).getFileName.toString).toSet
     var removed = 0
     if (Files.isDirectory(dataDir)) {
-      Files.list(dataDir).iterator.asScala.toVector.foreach { p =>
+      Using.resource(Files.list(dataDir))(_.iterator.asScala.toVector).foreach { p =>
         if (!live(p.getFileName.toString)) { Files.deleteIfExists(p); removed += 1 }
       }
     }

@@ -2,6 +2,7 @@ package repro.lst
 
 import java.nio.file.{Files, Path}
 import scala.jdk.CollectionConverters._
+import scala.util.Using
 
 import org.apache.hadoop.conf.Configuration
 import org.apache.parquet.hadoop.ParquetFileReader
@@ -38,10 +39,12 @@ object LstWriter {
     */
   final case class FileGroup(partition: Option[String], files: Vector[DataFile], outputs: Int)
 
-  /** Exact row count from the Parquet footer (cheap metadata read). */
-  def parquetRecordCount(p: Path): Long = {
-    val in = HadoopInputFile.fromPath(
-      new org.apache.hadoop.fs.Path(p.toUri), new Configuration())
+  /** Exact row count from the Parquet footer (cheap metadata read).
+    * `conf` is shared across calls: building a Hadoop `Configuration` for
+    * each file cost more than the footer read itself.
+    */
+  def parquetRecordCount(p: Path, conf: Configuration): Long = {
+    val in = HadoopInputFile.fromPath(new org.apache.hadoop.fs.Path(p.toUri), conf)
     val r = ParquetFileReader.open(in)
     try r.getRecordCount finally r.close()
   }
@@ -80,11 +83,11 @@ object LstWriter {
       val writer = df.repartition(filesTarget).write.mode("overwrite")
       partCol.fold(writer)(writer.partitionBy(_)).parquet(tmp.toUri.toString)
       table.setSchemaIfAbsent(df.drop(partCol.toSeq: _*).schema.json)
-      Files.walk(tmp).iterator.asScala
-        .filter(p => p.getFileName.toString.endsWith(".parquet"))
-        .toVector.sortBy(_.toString)
+      val conf = spark.sparkContext.hadoopConfiguration
+      walk(tmp).filter(p => p.getFileName.toString.endsWith(".parquet"))
+        .sortBy(_.toString)
         .foreach { p =>
-          val count = parquetRecordCount(p)
+          val count = parquetRecordCount(p, conf)
           if (count > 0L) { // empty splits are removed with tmp below
             // "<pc>=<value>" directories name the partition of a partitionBy write
             val part = partCol.fold(partition)(pc =>
@@ -97,10 +100,13 @@ object LstWriter {
     } catch {
       case e: Throwable => discard(adopted); throw e
     } finally {
-      if (Files.exists(tmp))
-        Files.walk(tmp).iterator.asScala.toVector.reverse.foreach(Files.deleteIfExists(_))
+      if (Files.exists(tmp)) walk(tmp).reverse.foreach(Files.deleteIfExists(_))
     }
   }
+
+  /** Every path under `dir` (itself first), with the directory stream closed. */
+  private def walk(dir: Path): Vector[Path] =
+    Using.resource(Files.walk(dir))(_.iterator.asScala.toVector)
 
   /** Delete staged files that no snapshot references. */
   private def discard(files: Seq[DataFile]): Unit =

@@ -2,6 +2,7 @@ package repro.workload
 
 import java.util.concurrent.{Callable, Executors, TimeUnit}
 import scala.jdk.CollectionConverters._
+import scala.util.control.NonFatal
 
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
@@ -9,9 +10,12 @@ import org.apache.spark.sql.functions._
 import repro.SynthData
 import repro.lst._
 
-/** Client-side timing/result record for one read query. */
+/** Client-side timing/result record for one read query; a query that threw
+  * has `succeeded = false` and scanned nothing.
+  */
 final case class QueryMetric(hour: Int, db: String, queryId: Int,
-                             wallMs: Long, filesScanned: Int, bytesScanned: Long)
+                             wallMs: Long, filesScanned: Int, bytesScanned: Long,
+                             succeeded: Boolean)
 
 /** Client-side record for one write op, including its optimistic-concurrency
   * retry history (conflicts > 0 ⇒ the client saw versioning conflicts and
@@ -25,7 +29,10 @@ final case class WriteMetric(hour: Int, db: String, table: String, kind: String,
 final case class HourMetrics(hour: Int, reads: Vector[QueryMetric], writes: Vector[WriteMetric]) {
   def clientConflicts: Int = writes.map(_.conflicts).sum
   def writeQueries: Int = writes.size
-  def latencyPercentiles: LatencySummary = LatencySummary.of(reads.map(_.wallMs))
+  /** Reads that threw plus writes that threw or ran out of retries. */
+  def failedOps: Int = reads.count(!_.succeeded) + writes.count(!_.succeeded)
+  /** Latency of the reads that returned a result. */
+  def latencyPercentiles: LatencySummary = LatencySummary.of(reads.filter(_.succeeded).map(_.wallMs))
   def readWriteLatency: LatencySummary = LatencySummary.of(writes.map(_.wallMs))
 }
 
@@ -77,7 +84,7 @@ final class WorkloadRunner(spark: SparkSession, catalog: LstCatalog) {
             .collect()
         (li.filesScanned + ord.filesScanned, li.bytesScanned + ord.bytesScanned)
     }
-    QueryMetric(hour, op.db, op.queryId, (System.nanoTime() - t0) / 1000000L, files, bytes)
+    QueryMetric(hour, op.db, op.queryId, (System.nanoTime() - t0) / 1000000L, files, bytes, succeeded = true)
   }
 
   def runWrite(hour: Int, op: Op): WriteMetric = {
@@ -109,7 +116,9 @@ final class WorkloadRunner(spark: SparkSession, catalog: LstCatalog) {
     if (parts.isEmpty) 6 else parts.size
   }
 
-  /** Run one hour: streams in parallel, ops within a stream sequential. */
+  /** Run one hour: streams in parallel, ops within a stream sequential. An
+    * op that throws is recorded as failed and its stream goes on.
+    */
   def runHour(plan: HourPlan): HourMetrics = {
     val streams = plan.opsByDb.toVector.sortBy(_._1)
     if (streams.isEmpty) return HourMetrics(plan.hour, Vector.empty, Vector.empty)
@@ -120,9 +129,19 @@ final class WorkloadRunner(spark: SparkSession, catalog: LstCatalog) {
           def call(): (Vector[QueryMetric], Vector[WriteMetric]) = {
             val qs = Vector.newBuilder[QueryMetric]
             val ws = Vector.newBuilder[WriteMetric]
-            ops.foreach {
-              case r: ReadOp => qs += runRead(plan.hour, r)
-              case w         => ws += runWrite(plan.hour, w)
+            ops.foreach { op =>
+              val t0 = System.nanoTime()
+              def ms: Long = (System.nanoTime() - t0) / 1000000L
+              try op match {
+                case r: ReadOp => qs += runRead(plan.hour, r)
+                case w         => ws += runWrite(plan.hour, w)
+              } catch {
+                case NonFatal(_) => op match {
+                  case r: ReadOp   => qs += QueryMetric(plan.hour, r.db, r.queryId, ms, 0, 0L, succeeded = false)
+                  case a: AppendOp => ws += WriteMetric(plan.hour, a.db, a.table, "append", ms, 0, 0, 0, succeeded = false)
+                  case d: DeleteOp => ws += WriteMetric(plan.hour, d.db, d.table, "delete", ms, 0, 0, 0, succeeded = false)
+                }
+              }
             }
             (qs.result(), ws.result())
           }

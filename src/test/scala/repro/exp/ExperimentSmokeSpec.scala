@@ -18,6 +18,7 @@ class ExperimentSmokeSpec extends LstFixture {
     assert(res.hours.last.fileCountEnd > res.initialFileCount)
     assert(res.hours.forall(_.clusterConflicts == 0))
     assert(res.hours.forall(_.compactionUnits == 0))
+    assert(res.hours.forall(_.failedOps == 0))
   }
 
   test("CabExperiment with table-scope compaction reduces files vs baseline") {
@@ -27,6 +28,7 @@ class ExperimentSmokeSpec extends LstFixture {
     assert(table10.hours.last.fileCountEnd < nocomp.hours.last.fileCountEnd)
     assert(table10.hours.exists(_.compactionUnits > 0))
     assert(table10.meanGbHrPerUnit > 0.0)
+    assert((nocomp.hours ++ table10.hours).forall(_.failedOps == 0))
   }
 
   test("CabExperiment records write counts and latency summaries") {

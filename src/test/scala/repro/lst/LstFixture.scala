@@ -1,8 +1,11 @@
 package repro.lst
 
 import java.nio.file.{Files, Path}
+import java.util.concurrent.ConcurrentLinkedQueue
 import scala.jdk.CollectionConverters._
+import scala.util.Using
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
@@ -58,9 +61,36 @@ trait LstFixture extends SparkSpec {
     */
   def assertNothingLeftBehind(table: LstTable): Unit = {
     def names(dir: Path): Set[String] =
-      Files.list(dir).iterator.asScala.map(_.getFileName.toString).toSet
+      Using.resource(Files.list(dir))(_.iterator.asScala.map(_.getFileName.toString).toSet)
     val live = table.currentSnapshot.files.map(f => Path.of(f.path).getFileName.toString).toSet
     assert(names(table.dataDir).subsetOf(live), s"unreferenced data files: ${names(table.dataDir) -- live}")
     assert(names(table.tmpDir).isEmpty, s"tmp/ holds ${names(table.tmpDir)}")
+  }
+
+  /** Number of Spark jobs `body` launches from this thread. The jobs run
+    * under a fresh job group; a marker job in a second group then runs, and
+    * once the listener has seen it, it has seen every job `body` started.
+    */
+  def jobsDuring(body: => Unit): Int = {
+    val sc = spark.sparkContext
+    val group = s"jobs-during-${java.util.UUID.randomUUID()}"
+    val groups = new ConcurrentLinkedQueue[String]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).flatMap(p => Option(p.getProperty("spark.jobGroup.id"))).foreach(groups.add)
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup(group, "counted")
+      try body finally sc.setJobGroup(s"$group-end", "marker")
+      sc.parallelize(Seq(1), 1).count()
+      val deadline = System.nanoTime() + 30L * 1000000000L
+      while (!groups.contains(s"$group-end") && System.nanoTime() < deadline) Thread.sleep(10)
+      assert(groups.contains(s"$group-end"), "the listener never saw the marker job")
+      groups.asScala.count(_ == group)
+    } finally {
+      sc.clearJobGroup()
+      sc.removeSparkListener(listener)
+    }
   }
 }

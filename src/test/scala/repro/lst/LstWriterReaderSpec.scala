@@ -3,7 +3,9 @@ package repro.lst
 import java.io.IOException
 import java.nio.file.{Files, Path}
 import scala.jdk.CollectionConverters._
+import scala.util.Using
 
+import org.apache.spark.SparkException
 import org.apache.spark.sql.functions._
 
 import repro.Oracle
@@ -105,6 +107,30 @@ class LstWriterReaderSpec extends LstFixture {
     assert(s1.df.columns.contains("o_orderkey"))
   }
 
+  test("scan schema equals a Parquet read of the same files") {
+    val c = freshCatalog()
+    Vector(loadedLineitem(c), loadedOrders(c)).foreach { t =>
+      val paths = t.currentSnapshot.files.map(_.path)
+      assert(LstReader.scan(spark, t).df.schema == spark.read.parquet(paths: _*).schema, t.ref)
+    }
+  }
+
+  test("planning a scan of more than 32 files launches no Spark job") {
+    val c = freshCatalog()
+    val t = loadedOrders(c, files = 40)
+    assert(t.currentSnapshot.fileCount > 32) // above Spark's parallel-listing threshold
+    var scan: LstReader.Scan = null
+    assert(jobsDuring { scan = LstReader.scan(spark, t) } == 0)
+    assert(jobsDuring(scan.df.count()) > 0) // the action does run jobs
+  }
+
+  test("a snapshot file missing from disk fails the query") {
+    val c = freshCatalog()
+    val t = loadedOrders(c, files = 4)
+    Files.delete(Path.of(t.currentSnapshot.files.head.path))
+    intercept[SparkException](LstReader.scan(spark, t).df.count())
+  }
+
   test("deleteFraction removes ~the requested fraction of rows") {
     val c = freshCatalog()
     val df = tinyOrders(sf = 0.002)
@@ -197,7 +223,7 @@ class LstWriterReaderSpec extends LstFixture {
     Files.delete(t.root.resolve("meta").resolve("v000000.json"))
     intercept[IOException](LstWriter.append(spark, t, tinyOrders(sf = 0.0005), 4))
     def names(dir: Path): Vector[String] =
-      Files.list(dir).iterator.asScala.map(_.getFileName.toString).toVector
+      Using.resource(Files.list(dir))(_.iterator.asScala.map(_.getFileName.toString).toVector)
     assert(!names(t.dataDir).exists(_.endsWith(".parquet")), s"data/ holds ${names(t.dataDir)}")
     assert(names(t.tmpDir).isEmpty, s"tmp/ holds ${names(t.tmpDir)}")
   }

@@ -58,6 +58,20 @@ class WorkloadRunnerSpec extends LstFixture {
     assert(wm.removedFiles > 0)
   }
 
+  test("an op that throws is recorded as failed and the hour goes on") {
+    val (c, _, runner) = setup()
+    c.dropTable("cab_db00", "orders")
+    val m = runner.runHour(HourPlan(1, Map(
+      // the orders rollup fails on the dropped table; the stream goes on
+      "cab_db00" -> Vector(ReadOp("cab_db00", 1), ReadOp("cab_db00", 0),
+        DeleteOp("cab_db00", "lineitem", 0.1, None, 1.0, 3L)),
+      "cab_db01" -> Vector(ReadOp("cab_db01", 1), AppendOp("cab_db01", "orders", 0.0005, 2, 7L)))))
+    assert(m.reads.filterNot(_.succeeded).map(r => (r.db, r.queryId)) == Vector(("cab_db00", 1)))
+    assert(m.reads.size == 3 && m.writes.size == 2 && m.writes.forall(_.succeeded))
+    assert(m.failedOps == 1)
+    assert(m.latencyPercentiles.n == 2)
+  }
+
   test("LatencySummary percentiles ordered") {
     val s = LatencySummary.of(Vector(5L, 1L, 9L, 3L, 7L))
     assert(s.min == 1 && s.max == 9 && s.n == 5)
