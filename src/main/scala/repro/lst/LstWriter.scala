@@ -80,7 +80,15 @@ object LstWriter {
       // per touched partition (when rows per partition >= target) — the
       // controllable small-file knob. An explicit partition count also keeps
       // AQE from coalescing tiny shuffles down to one file.
+      //
+      // Spark copies writer options into this write job's Hadoop conf only,
+      // so reads keep the session's filesystem. The FileSystem cache is
+      // bypassed, or the session's cached LocalFileSystem would be handed
+      // out in place of StagingFileSystem. The LST never reads _SUCCESS.
       val writer = df.repartition(filesTarget).write.mode("overwrite")
+        .option("fs.file.impl", classOf[StagingFileSystem].getName)
+        .option("fs.file.impl.disable.cache", "true")
+        .option("mapreduce.fileoutputcommitter.marksuccessfuljobs", "false")
       partCol.fold(writer)(writer.partitionBy(_)).parquet(tmp.toUri.toString)
       table.setSchemaIfAbsent(df.drop(partCol.toSeq: _*).schema.json)
       val conf = spark.sparkContext.hadoopConfiguration

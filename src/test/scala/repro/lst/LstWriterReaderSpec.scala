@@ -5,10 +5,14 @@ import java.nio.file.{Files, Path}
 import scala.jdk.CollectionConverters._
 import scala.util.Using
 
+import jdk.jfr.Recording
+import jdk.jfr.consumer.RecordingFile
+import org.apache.hadoop.fs.permission.FsPermission
 import org.apache.spark.SparkException
 import org.apache.spark.sql.functions._
 
 import repro.Oracle
+import repro.core.{CandidateGenerator, CompactionConfig, CompactionExecutor, ScopeStrategy}
 
 class LstWriterReaderSpec extends LstFixture {
 
@@ -240,5 +244,39 @@ class LstWriterReaderSpec extends LstFixture {
     assert(!res.succeeded && res.attempts == 1 && res.conflicts == 1)
     assert(t.vacuum() == 1, "only the racer's removed file may be orphaned")
     assertNothingLeftBehind(t)
+  }
+
+  test("append, compaction and CoW delete fork no chmod process") {
+    val c = freshCatalog()
+    val t = c.createTable("db1", "li", Some("l_shipmonth"))
+    val rec = new Recording()
+    val dump = Files.createTempFile("stage-", ".jfr")
+    try {
+      rec.enable("jdk.ProcessStart")
+      rec.start()
+      LstWriter.append(spark, t, tinyLineitem(months = 2), 3)
+      val cand = CandidateGenerator.forTable(t, ScopeStrategy.TableScope).head
+      assert(CompactionExecutor.compact(spark, c, cand, CompactionConfig(64L << 20)).succeeded)
+      assert(LstWriter.deleteFraction(spark, t, 0.2, None).succeeded)
+      rec.stop()
+      rec.dump(dump)
+      val chmods = RecordingFile.readAllEvents(dump).asScala.map(_.getString("command"))
+        .filter(_.split(" ").head.endsWith("chmod"))
+      chmods.headOption.foreach(cmd => fail(s"${chmods.size} chmod processes, e.g. $cmd"))
+    } finally {
+      rec.close()
+      Files.deleteIfExists(dump)
+    }
+  }
+
+  test("adopted files keep Hadoop's default file mode") {
+    val c = freshCatalog()
+    val t = loadedLineitem(c, months = 2, filesPerPartition = 2)
+    val expected = FsPermission.getFileDefault.applyUMask(
+      FsPermission.getUMask(spark.sparkContext.hadoopConfiguration))
+    t.currentSnapshot.files.foreach { f =>
+      assert(StagingFileSystemSpec.mode(Path.of(f.path)) == expected.toShort.toInt,
+        s"${f.path} is not $expected")
+    }
   }
 }
