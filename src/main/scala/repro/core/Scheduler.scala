@@ -22,8 +22,8 @@ final class CompactionScheduler(sched: SchedulerConfig) {
 
   /** Execute the selected work units; returns one result per candidate in
     * deterministic (candidate id) order regardless of thread timing. A unit
-    * that throws is reported on stderr and recorded as failed; the other
-    * units and tables still run.
+    * that throws is reported on stderr and recorded as failed, with the
+    * time it ran as its `wallMs`; the other units and tables still run.
     */
   def run(spark: SparkSession, catalog: LstCatalog,
           selected: Vector[ScoredCandidate], cfg: CompactionConfig): Vector[CompactionResult] = {
@@ -37,11 +37,13 @@ final class CompactionScheduler(sched: SchedulerConfig) {
             // sequential within a table — see class doc
             cands.map { sc =>
               val c = sc.candidate
+              val start = System.nanoTime()
               try CompactionExecutor.compact(spark, catalog, c, cfg)
               catch {
                 case NonFatal(e) =>
                   Console.err.println(s"compaction of ${c.id} failed: $e")
-                  CompactionResult(c.table, c.partition, 0, 0, 0L, 0.0, 0L, attempts = 1,
+                  CompactionResult(c.table, c.partition, 0, 0, 0L, 0.0,
+                    (System.nanoTime() - start) / 1000000L, attempts = 1,
                     conflicts = 0, succeeded = false, skipped = false)
               }
             }

@@ -61,10 +61,14 @@ object LstWriter {
     * Otherwise, on a partitioned table `df` MUST contain
     * `meta.partitionColumn`; we write with `partitionBy` so every physical
     * file holds exactly one partition value, and aim for `filesTarget` files
-    * per touched partition via a round-robin repartition. The partition
-    * column is a *derived* column (e.g. month-of-shipdate) so dropping it
-    * from file contents loses no source data. For an unpartitioned table,
-    * `filesTarget` is the total file count.
+    * per touched partition. The partition column is a *derived* column
+    * (e.g. month-of-shipdate) so dropping it from file contents loses no
+    * source data. For an unpartitioned table, `filesTarget` is the total
+    * file count.
+    *
+    * One file (per partition) is written by a single task over `df`'s
+    * partitions in order, with no shuffle; more files take a round-robin
+    * repartition into `filesTarget` tasks.
     */
   def stage(spark: SparkSession, table: LstTable, df: DataFrame, filesTarget: Int,
             baseVersion: Long, partition: Option[String] = None): Vector[DataFile] = {
@@ -75,17 +79,20 @@ object LstWriter {
       require(df.columns.contains(pc), s"partitioned table ${table.ref} needs column $pc"))
     var adopted = Vector.empty[DataFile]
     try {
-      // Round-robin into `filesTarget` tasks; partitionBy then splits each
-      // task's rows per partition value, yielding exactly `filesTarget` files
-      // per touched partition (when rows per partition >= target) — the
-      // controllable small-file knob. An explicit partition count also keeps
-      // AQE from coalescing tiny shuffles down to one file.
+      // One task per output file; partitionBy then splits each task's rows
+      // per partition value, yielding exactly `filesTarget` files per touched
+      // partition (when rows per partition >= target) — the controllable
+      // small-file knob. One file needs no shuffle: coalesce(1) reads the
+      // upstream partitions in one task, so the write is a single stage.
+      // More files take a round-robin repartition; its explicit partition
+      // count also keeps AQE from coalescing tiny shuffles down to one file.
       //
       // Spark copies writer options into this write job's Hadoop conf only,
       // so reads keep the session's filesystem. The FileSystem cache is
       // bypassed, or the session's cached LocalFileSystem would be handed
       // out in place of StagingFileSystem. The LST never reads _SUCCESS.
-      val writer = df.repartition(filesTarget).write.mode("overwrite")
+      val tasks = if (filesTarget == 1) df.coalesce(1) else df.repartition(filesTarget)
+      val writer = tasks.write.mode("overwrite")
         .option("fs.file.impl", classOf[StagingFileSystem].getName)
         .option("fs.file.impl.disable.cache", "true")
         .option("mapreduce.fileoutputcommitter.marksuccessfuljobs", "false")

@@ -1,5 +1,7 @@
 package repro.core
 
+import java.nio.file.{Files, Path}
+
 import repro.lst._
 
 class AutoCompSpec extends LstFixture {
@@ -132,6 +134,21 @@ class AutoCompSpec extends LstFixture {
     assert(results.map(r => (r.table.name, r.succeeded)) == Vector("o1" -> false, "o2" -> true))
     assert(results.head.attempts == 1 && !results.head.skipped)
     assert(c.table("db2", "o2").currentSnapshot.fileCount == 1)
+  }
+
+  test("a failed work unit reports the time it ran") {
+    val c = freshCatalog()
+    val t = loadedOrders(c, files = 6)
+    val observed = CandidateGenerator.generate(c, ScopeStrategy.TableScope)
+      .map(cand => (cand, Traits.observe(cand.files.map(_.sizeBytes), cfg.targetFileSizeBytes)))
+    val selected = Selector.TopK(1).select(Ranker.defaultMoop.rank(observed, cfg), cfg)
+    // the snapshot still lists the file, so the rewrite fails at scan execution
+    Files.delete(Path.of(t.currentSnapshot.files.head.path))
+    val results = new CompactionScheduler(SchedulerConfig()).run(spark, c, selected, cfg)
+    assert(results.size == 1)
+    val r = results.head
+    assert(!r.succeeded)
+    assert(r.wallMs > 0L, s"failed unit reported ${r.wallMs} ms")
   }
 
   test("OptimizeAfterWriteHook fires when trait crosses threshold") {

@@ -25,6 +25,32 @@ class CompactionExecutorSpec extends LstFixture {
     assert(t.currentSnapshot.operation == Snapshot.OpRewrite)
   }
 
+  test("a one-file rewrite is one Spark job that writes no shuffle") {
+    val c = freshCatalog()
+    val t = loadedOrders(c, files = 8)
+    val cand = CandidateGenerator.forTable(t, ScopeStrategy.TableScope).head
+    var res: CompactionResult = null
+    val jobs = jobsDuring { res = CompactionExecutor.compact(spark, c, cand, cfg) }
+    assert(res.succeeded && res.addedFiles == 1)
+    assert(jobs.count == 1, s"one-file rewrite ran ${jobs.count} jobs")
+    assert(jobs.shuffleBytesWritten == 0L)
+  }
+
+  test("a group that bin-packs into two outputs is rewritten as two files") {
+    val c = freshCatalog()
+    val t = loadedOrders(c, files = 8)
+    val before = t.currentSnapshot
+    // every file is below target, and the group's bytes need two outputs
+    val target = (before.totalBytes * 0.6).toLong
+    assert(before.files.forall(_.sizeBytes < target))
+    assert(Traits.binPackOutputs(before.totalBytes, target) == 2)
+    val cand = CandidateGenerator.forTable(t, ScopeStrategy.TableScope).head
+    val res = CompactionExecutor.compact(spark, c, cand, cfg.copy(targetFileSizeBytes = target))
+    assert(res.succeeded && res.removedFiles == 8 && res.addedFiles == 2)
+    assert(t.currentSnapshot.fileCount == 2)
+    assert(t.currentSnapshot.totalRecords == before.totalRecords)
+  }
+
   test("compaction preserves data exactly (oracle-checked)") {
     val c = freshCatalog()
     val df = tinyOrders(sf = 0.001)

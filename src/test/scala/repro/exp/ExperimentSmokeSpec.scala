@@ -31,6 +31,21 @@ class ExperimentSmokeSpec extends LstFixture {
     assert((nocomp.hours ++ table10.hours).forall(_.failedOps == 0))
   }
 
+  test("Fig 8 mechanism: from hour 3, hybrid-500 scans under half nocomp's files per read") {
+    val p = tiny.copy(hours = 3)
+    val strategies = CabExperiment.paperStrategies()
+    def lateMeanFiles(r: CabExperiment.StrategyResult): Double = {
+      val hs = r.hours.filter(_.hour >= 3)
+      hs.map(_.meanFilesScannedPerRead).sum / hs.size
+    }
+    val nocomp = CabExperiment.runStrategy(spark, p, strategies.find(_.name == "nocomp").get)
+    val hybrid = CabExperiment.runStrategy(spark, p, strategies.find(_.name == "hybrid-500").get)
+    assert((nocomp.hours ++ hybrid.hours).forall(_.failedOps == 0))
+    // the bound of Fig8QueryLatencyBench
+    assert(lateMeanFiles(hybrid) < lateMeanFiles(nocomp) / 2,
+      s"hybrid-500 files/read ${lateMeanFiles(hybrid)} vs nocomp ${lateMeanFiles(nocomp)}")
+  }
+
   test("CabExperiment records write counts and latency summaries") {
     val res = CabExperiment.runStrategy(spark, tiny, CabExperiment.StrategyDef("nocomp", None))
     res.hours.foreach { h =>

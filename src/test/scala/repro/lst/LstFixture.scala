@@ -1,11 +1,11 @@
 package repro.lst
 
 import java.nio.file.{Files, Path}
-import java.util.concurrent.ConcurrentLinkedQueue
+import java.util.concurrent.{ConcurrentHashMap, ConcurrentLinkedQueue}
 import scala.jdk.CollectionConverters._
 import scala.util.Using
 
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageCompleted}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
@@ -67,17 +67,26 @@ trait LstFixture extends SparkSpec {
     assert(names(table.tmpDir).isEmpty, s"tmp/ holds ${names(table.tmpDir)}")
   }
 
-  /** Number of Spark jobs `body` launches from this thread. The jobs run
-    * under a fresh job group; a marker job in a second group then runs, and
-    * once the listener has seen it, it has seen every job `body` started.
+  /** The Spark jobs `body` launches from this thread: how many, and the
+    * shuffle bytes their stages write. The jobs run under a fresh job group;
+    * a marker job in a second group then runs, and once the listener has
+    * seen it, it has seen every job and stage `body` started.
     */
-  def jobsDuring(body: => Unit): Int = {
+  def jobsDuring(body: => Unit): SparkJobs = {
     val sc = spark.sparkContext
     val group = s"jobs-during-${java.util.UUID.randomUUID()}"
     val groups = new ConcurrentLinkedQueue[String]()
+    val stages = ConcurrentHashMap.newKeySet[Int]()
+    val shuffleBytes = new ConcurrentHashMap[Int, Long]()
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit =
-        Option(e.properties).flatMap(p => Option(p.getProperty("spark.jobGroup.id"))).foreach(groups.add)
+        Option(e.properties).flatMap(p => Option(p.getProperty("spark.jobGroup.id"))).foreach { g =>
+          groups.add(g)
+          if (g == group) e.stageIds.foreach(stages.add(_))
+        }
+      override def onStageCompleted(e: SparkListenerStageCompleted): Unit =
+        shuffleBytes.merge(e.stageInfo.stageId,
+          e.stageInfo.taskMetrics.shuffleWriteMetrics.bytesWritten, _ + _)
     }
     sc.addSparkListener(listener)
     try {
@@ -87,10 +96,16 @@ trait LstFixture extends SparkSpec {
       val deadline = System.nanoTime() + 30L * 1000000000L
       while (!groups.contains(s"$group-end") && System.nanoTime() < deadline) Thread.sleep(10)
       assert(groups.contains(s"$group-end"), "the listener never saw the marker job")
-      groups.asScala.count(_ == group)
+      SparkJobs(groups.asScala.count(_ == group),
+        stages.asScala.toSeq.map(shuffleBytes.getOrDefault(_, 0L)).sum)
     } finally {
       sc.clearJobGroup()
       sc.removeSparkListener(listener)
     }
   }
 }
+
+/** What [[LstFixture.jobsDuring]] saw: the jobs launched and the shuffle
+  * bytes written by their stages.
+  */
+final case class SparkJobs(count: Int, shuffleBytesWritten: Long)

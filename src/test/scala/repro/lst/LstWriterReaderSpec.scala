@@ -37,6 +37,20 @@ class LstWriterReaderSpec extends LstFixture {
     }
   }
 
+  test("a one-file partitioned append writes one file per touched partition") {
+    val c = freshCatalog()
+    val df = tinyLineitem(months = 3)
+    val expected = df.groupBy("l_shipmonth").count().collect()
+      .map(r => r.getString(0) -> r.getLong(1)).toMap
+    val t = c.createTable("db1", "li", Some("l_shipmonth"))
+    LstWriter.append(spark, t, df, 1)
+    val snap = t.currentSnapshot
+    assert(snap.partitions.toSet == expected.keySet)
+    snap.partitions.foreach(p => assert(snap.filesIn(Some(p)).size == 1, s"partition $p"))
+    // footer counts, per partition, equal the source rows
+    assert(snap.files.map(f => f.partition.get -> f.recordCount).toMap == expected)
+  }
+
   test("recordCount from footers matches source row count") {
     val c = freshCatalog()
     val df = tinyOrders(sf = 0.001)
@@ -124,8 +138,8 @@ class LstWriterReaderSpec extends LstFixture {
     val t = loadedOrders(c, files = 40)
     assert(t.currentSnapshot.fileCount > 32) // above Spark's parallel-listing threshold
     var scan: LstReader.Scan = null
-    assert(jobsDuring { scan = LstReader.scan(spark, t) } == 0)
-    assert(jobsDuring(scan.df.count()) > 0) // the action does run jobs
+    assert(jobsDuring { scan = LstReader.scan(spark, t) }.count == 0)
+    assert(jobsDuring(scan.df.count()).count > 0) // the action does run jobs
   }
 
   test("a snapshot file missing from disk fails the query") {
