@@ -30,8 +30,9 @@ final case class CompactionResult(
   * Bin-packing semantics match Iceberg's rewrite-data-files: files already
   * at or above the target are untouched; small files are grouped BY
   * PARTITION (compaction never crosses partitions, §7) and each group is
-  * rewritten into [[Traits.binPackOutputs]] outputs. Groups that cannot shrink
-  * (one small file, or packing yields no fewer files) are skipped.
+  * rewritten into the outputs [[Traits.packedOutputs]] counts. A group it
+  * says cannot shrink (one small file, or packing yields no fewer files) is
+  * skipped.
   *
   * On a conflict the candidate is re-planned against the fresh snapshot
   * (files that disappeared meanwhile drop out), and the rewrite retries up
@@ -51,8 +52,8 @@ object CompactionExecutor {
         .filter(_.sizeBytes < cfg.targetFileSizeBytes)
         .groupBy(_.partition).toVector.sortBy(_._1.getOrElse(""))
         .flatMap { case (part, files) =>
-          val nOut = Traits.binPackOutputs(files.map(_.sizeBytes).sum, cfg.targetFileSizeBytes)
-          if (files.size > nOut) Some(LstWriter.FileGroup(part, files, nOut.toInt)) else None
+          Traits.packedOutputs(files.size, files.map(_.sizeBytes).sum, cfg.targetFileSizeBytes)
+            .map(nOut => LstWriter.FileGroup(part, files, nOut.toInt))
         }
     }
     val r = LstWriter.replace(spark, catalog.table(candidate.table), plan, Rewrite, maxRetries,

@@ -27,16 +27,16 @@ object Traits {
   }
 
   /** ΔF minus the files compaction must still produce:
-    * ΔF_adj = smallFiles − [[binPackOutputs]](smallBytes). A closer estimate of
-    * the net reduction for single-partition candidates.
+    * ΔF_adj = smallFiles − [[packedOutputs]](smallFiles, smallBytes), or 0
+    * when packing cannot shrink them. A closer estimate of the net reduction
+    * for single-partition candidates.
     */
   case object AdjustedFileCountReduction extends TraitCalc {
     val name = "adjustedFileCountReduction"
     val isCost = false
-    def compute(stats: CandidateStats, cfg: CompactionConfig): Double = {
-      val produced = binPackOutputs(stats.smallBytes, cfg.targetFileSizeBytes)
-      math.max(0L, stats.smallFileCount - produced).toDouble
-    }
+    def compute(stats: CandidateStats, cfg: CompactionConfig): Double =
+      packedOutputs(stats.smallFileCount, stats.smallBytes, cfg.targetFileSizeBytes)
+        .fold(0.0)(out => (stats.smallFileCount - out).toDouble)
   }
 
   /** File entropy (Netflix auto-optimize [65]): mean squared relative
@@ -84,11 +84,13 @@ object Traits {
   def gbHr(bytes: Long, cfg: CompactionConfig): Double =
     cfg.executorMemoryGb * (bytes.toDouble / cfg.rewriteBytesPerHour)
 
-  /** Files a bin-pack rewrite of `bytes` produces, as Iceberg's
-    * rewrite-data-files sizes its output: max(1, ceil(bytes / target)).
+  /** The shrink rule of every act phase: the files a bin-pack rewrite of
+    * `count` files holding `bytes` produces, as Iceberg's rewrite-data-files
+    * sizes its output — max(1, ceil(bytes / target)) — or None when that is
+    * not fewer than `count`, so the rewrite cannot shrink the group.
     */
-  def binPackOutputs(bytes: Long, targetBytes: Long): Long =
-    math.max(1L, math.ceil(bytes.toDouble / targetBytes).toLong)
+  def packedOutputs(count: Long, bytes: Long, targetBytes: Long): Option[Long] =
+    Some(math.max(1L, math.ceil(bytes.toDouble / targetBytes).toLong)).filter(_ < count)
 
   val all: Vector[TraitCalc] =
     Vector(FileCountReduction, AdjustedFileCountReduction, FileEntropy, ComputeCostGbHr)

@@ -186,18 +186,18 @@ final class FleetSimulator(cfg: FleetConfig) {
     Ranker.defaultMoop.copy(weightOverride = Some(w1)).rank(pool, compactionCfg)
   }
 
-  /** Apply the act phase to one table: bin-pack its small files to target.
-    * Returns (fileReduction, tbHr).
+  /** Apply the act phase to one table: bin-pack its small files to target,
+    * if that shrinks them. Returns (fileReduction, tbHr).
     */
-  private def compactTable(t: FleetTable): (Long, Double) = {
-    if (t.smallFiles < 2) return (0L, 0.0)
-    val produced = Traits.binPackOutputs(t.smallBytes, compactionCfg.targetFileSizeBytes)
-    val reduction = math.max(0L, t.smallFiles - produced)
-    val tbHr = Traits.gbHr(t.smallBytes, compactionCfg) / 1024.0
-    t.largeFiles += produced
-    t.smallFiles = 0
-    (reduction, tbHr)
-  }
+  private def compactTable(t: FleetTable): (Long, Double) =
+    Traits.packedOutputs(t.smallFiles, t.smallBytes, compactionCfg.targetFileSizeBytes)
+      .fold((0L, 0.0)) { produced =>
+        val reduction = t.smallFiles - produced
+        val tbHr = Traits.gbHr(t.smallBytes, compactionCfg) / 1024.0
+        t.largeFiles += produced
+        t.smallFiles = 0
+        (reduction, tbHr)
+      }
 
   /** Run `days` days under a policy schedule: `schedule(d)` is the policy
     * that becomes active on day d (1-based); days without an entry keep the

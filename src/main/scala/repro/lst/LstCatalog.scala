@@ -42,7 +42,7 @@ final class LstCatalog(val root: Path) {
   def listTables(db: String): Vector[TableRef] =
     if (!Files.isDirectory(dbDir(db))) Vector.empty
     else Using.resource(Files.list(dbDir(db)))(_.iterator.asScala
-      .filter(p => Files.exists(p.resolve("meta").resolve("version-hint.txt")))
+      .filter(LstTable.exists)
       .map(p => TableRef(db, p.getFileName.toString)).toVector.sortBy(_.name))
 
   def allTables: Vector[TableRef] = listDbs.flatMap(listTables)

@@ -57,7 +57,7 @@ object Snapshot {
   val OpRewrite = "rewrite"
 }
 
-/** Per-table static metadata stored in `meta/table.json`.
+/** Per-table static metadata, stored once per table by [[LstTable]].
   *
   * @param partitionColumn name of the derived partition column (e.g. the
   *                        month of l_shipdate) or None for unpartitioned
@@ -71,8 +71,12 @@ final case class TableMeta(
     createdAtMs: Long,
     schemaJson: Option[String])
 
-/** A write operation submitted to [[LstTable.commit]]. */
+/** A write operation submitted to [[LstTable.commit]]: it removes the
+  * files at `removed` and adds `added`. A commit conflicts if any removed
+  * path is not in the current snapshot (another writer got there first).
+  */
 sealed trait CommitOp {
+  def removed: Vector[String]
   def added: Vector[DataFile]
   def operation: String
 }
@@ -81,24 +85,22 @@ sealed trait CommitOp {
   * snapshot like Iceberg fast-append).
   */
 final case class Append(added: Vector[DataFile]) extends CommitOp {
+  def removed: Vector[String] = Vector.empty
   def operation: String = Snapshot.OpAppend
 }
 
-/** User CoW delete/update: replace `removedPaths` with `added`. Conflicts if
-  * any removed file is no longer present (another writer got there first).
-  */
-final case class Overwrite(removedPaths: Vector[String], added: Vector[DataFile]) extends CommitOp {
+/** User CoW delete/update: replace `removed` with `added`. */
+final case class Overwrite(removed: Vector[String], added: Vector[DataFile]) extends CommitOp {
   def operation: String = Snapshot.OpOverwrite
 }
 
-/** Compaction rewrite: replace `removedPaths` with data-equivalent `added`.
+/** Compaction rewrite: replace `removed` with data-equivalent `added`.
   * Mirrors the coarse Apache Iceberg v1.2 validation observed in the paper
-  * (§4.4): a rewrite conflicts with ANY intervening rewrite on the table —
-  * even one touching disjoint partitions. Intervening overwrites are
-  * validated at file level: they conflict only if they removed one of
-  * `removedPaths`. Pure appends rebase cleanly.
+  * (§4.4): a rewrite also conflicts with ANY rewrite committed after its
+  * base — even one touching disjoint partitions. Intervening overwrites
+  * conflict only if they removed one of `removed`; appends rebase cleanly.
   */
-final case class Rewrite(removedPaths: Vector[String], added: Vector[DataFile]) extends CommitOp {
+final case class Rewrite(removed: Vector[String], added: Vector[DataFile]) extends CommitOp {
   def operation: String = Snapshot.OpRewrite
 }
 

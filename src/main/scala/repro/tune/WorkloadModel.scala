@@ -63,16 +63,18 @@ final case class WorkloadModel(
     }
 
     def compact(t: Int): Unit = {
-      // bin-pack small files to target; non-partitioned tables (the TPC-H
+      // bin-pack small files to target when that shrinks them; non-partitioned tables (the TPC-H
       // case) must rewrite the WHOLE table — Iceberg's rewrite reshuffles
       // the one big unpartitioned layout (§6.3 observation (i))
       val smallGb = small(t) * fileSizeMb / 1024.0
-      val rewriteGb =
-        if (partitionsPerTable == 1) smallGb + large(t) * (cfg.targetFileSizeBytes.toDouble / (1L << 30))
-        else smallGb
-      duration += rewriteGb * rewriteSecPerGb * contention
-      large(t) += Traits.binPackOutputs((smallGb * (1L << 30)).toLong, cfg.targetFileSizeBytes).toInt
-      small(t) = 0
+      Traits.packedOutputs(small(t), (smallGb * (1L << 30)).toLong, cfg.targetFileSizeBytes).foreach { out =>
+        val rewriteGb =
+          if (partitionsPerTable == 1) smallGb + large(t) * (cfg.targetFileSizeBytes.toDouble / (1L << 30))
+          else smallGb
+        duration += rewriteGb * rewriteSecPerGb * contention
+        large(t) += out.toInt
+        small(t) = 0
+      }
     }
 
     (1 to phases).foreach { _ =>

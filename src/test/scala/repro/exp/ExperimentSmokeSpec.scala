@@ -25,10 +25,16 @@ class ExperimentSmokeSpec extends LstFixture {
     val strategies = CabExperiment.paperStrategies()
     val nocomp = CabExperiment.runStrategy(spark, tiny, strategies(0))
     val table10 = CabExperiment.runStrategy(spark, tiny, strategies(1))
+    val hybrid500 = CabExperiment.runStrategy(spark, tiny, strategies.find(_.name == "hybrid-500").get)
     assert(table10.hours.last.fileCountEnd < nocomp.hours.last.fileCountEnd)
     assert(table10.hours.exists(_.compactionUnits > 0))
-    assert(table10.meanGbHrPerUnit > 0.0)
-    assert((nocomp.hours ++ table10.hours).forall(_.failedOps == 0))
+    assert(table10.meanGbHrPerUnit > 0.0 && hybrid500.meanGbHrPerUnit > 0.0)
+    assert((nocomp.hours ++ table10.hours ++ hybrid500.hours).forall(_.failedOps == 0))
+    // the bounds of Fig7ComputeCostBench
+    assert(table10.meanGbHrPerUnit > hybrid500.meanGbHrPerUnit,
+      s"table-10 mean ${table10.meanGbHrPerUnit} vs hybrid-500 ${hybrid500.meanGbHrPerUnit}")
+    assert(table10.gbHrStdDev >= hybrid500.gbHrStdDev,
+      s"table-10 stddev ${table10.gbHrStdDev} vs hybrid-500 ${hybrid500.gbHrStdDev}")
   }
 
   test("Fig 8 mechanism: from hour 3, hybrid-500 scans under half nocomp's files per read") {

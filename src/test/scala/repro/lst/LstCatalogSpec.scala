@@ -33,6 +33,15 @@ class LstCatalogSpec extends LstFixture {
     assert(freshCatalog().listTables("nope").isEmpty)
   }
 
+  test("listTables skips a table directory that has no version hint") {
+    val c = freshCatalog()
+    c.createTable("db1", "t1", None)
+    // a create that stopped before its hint: meta/ exists, the hint does not
+    Files.createDirectories(c.root.resolve("db1").resolve("t2").resolve("meta"))
+    assert(c.listTables("db1").map(_.name) == Vector("t1"))
+    intercept[IllegalArgumentException](c.table("db1", "t2"))
+  }
+
   test("dropTable removes everything") {
     val c = freshCatalog()
     c.createTable("db1", "t1", None)

@@ -56,15 +56,21 @@ trait LstFixture extends SparkSpec {
     else scan.df.agg(sum(col(colName))).collect()(0).getDouble(0)
   }
 
+  def fileNames(dir: Path): Set[String] =
+    Using.resource(Files.list(dir))(_.iterator.asScala.map(_.getFileName.toString).toSet)
+
+  /** Names of the files in `data/` that the current snapshot does not list:
+    * files a commit removed, and anything a failed write leaked.
+    */
+  def unreferencedDataFiles(table: LstTable): Set[String] =
+    fileNames(table.dataDir) -- table.currentSnapshot.files.map(f => Path.of(f.path).getFileName.toString)
+
   /** What a failed write must leave: every file in `data/` referenced by
     * the current snapshot, and an empty `tmp/`.
     */
   def assertNothingLeftBehind(table: LstTable): Unit = {
-    def names(dir: Path): Set[String] =
-      Using.resource(Files.list(dir))(_.iterator.asScala.map(_.getFileName.toString).toSet)
-    val live = table.currentSnapshot.files.map(f => Path.of(f.path).getFileName.toString).toSet
-    assert(names(table.dataDir).subsetOf(live), s"unreferenced data files: ${names(table.dataDir) -- live}")
-    assert(names(table.tmpDir).isEmpty, s"tmp/ holds ${names(table.tmpDir)}")
+    assert(unreferencedDataFiles(table).isEmpty, s"unreferenced data files: ${unreferencedDataFiles(table)}")
+    assert(fileNames(table.tmpDir).isEmpty, s"tmp/ holds ${fileNames(table.tmpDir)}")
   }
 
   /** The Spark jobs `body` launches from this thread: how many, and the

@@ -1,7 +1,5 @@
 package repro.lst
 
-import java.nio.file.Files
-
 class LstTableSpec extends LstFixture {
 
   private def df(path: String, part: Option[String] = None, size: Long = 100L, v: Long = 1L) =
@@ -60,6 +58,26 @@ class LstTableSpec extends LstFixture {
       t.commit(1, Overwrite(Vector("/a"), Vector(df("/a3"))))
     }
     assert(ex.kind == "client")
+  }
+
+  test("overwrite at the current version conflicts when a victim is not in the snapshot") {
+    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None, 1L)
+    t.commit(0, Append(Vector(df("/a"))))
+    val ex = intercept[CommitConflictException] {
+      t.commit(1, Overwrite(Vector("/a", "/z"), Vector(df("/a2"))))
+    }
+    assert(ex.kind == "client")
+    assert(t.currentVersion == 1L)
+  }
+
+  test("rewrite at the current version conflicts when an input is not in the snapshot") {
+    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None, 1L)
+    t.commit(0, Append(Vector(df("/a"))))
+    val ex = intercept[CommitConflictException] {
+      t.commit(1, Rewrite(Vector("/a", "/z"), Vector(df("/big"))))
+    }
+    assert(ex.kind == "cluster")
+    assert(t.currentVersion == 1L)
   }
 
   test("overwrite with stale base succeeds when victims still live") {
@@ -172,17 +190,5 @@ class LstTableSpec extends LstFixture {
     t.setSchemaIfAbsent("s1")
     t.setSchemaIfAbsent("s2")
     assert(t.meta.schemaJson.contains("s1"))
-  }
-
-  test("vacuum removes unreferenced data files") {
-    val dir = freshTableDir()
-    val t = LstTable.create(TableRef("d", "t"), dir, None, 1L)
-    val live = t.dataDir.resolve("live.parquet")
-    val dead = t.dataDir.resolve("dead.parquet")
-    Files.writeString(live, "x"); Files.writeString(dead, "x")
-    t.commit(0, Append(Vector(df(live.toString))))
-    val removed = t.vacuum()
-    assert(removed == 1)
-    assert(Files.exists(live) && !Files.exists(dead))
   }
 }
