@@ -13,7 +13,7 @@ trait Ranker {
     pool.map { case (c, s) => (c, s, Traits.orient(s, cfg)) }
 
   protected def sorted(xs: Vector[ScoredCandidate]): Vector[ScoredCandidate] =
-    xs.sortBy(sc => (-sc.score, sc.candidate.id))
+    xs.sorted(Ordering.by((sc: ScoredCandidate) => -sc.score).orElseBy(_.candidate.id))
 }
 
 object Ranker {

@@ -4,21 +4,15 @@ import repro.fleet._
 
 /** Schedules and configurations reproducing the §7 production results
   * (Figures 10 & 11). Fleet scale matches the deployment (~35K tables);
-  * rewrite-throughput and candidate-filter knobs are calibrated so the
-  * 226 TBHr budget binds at k in the paper's ≈2500 ballpark (see
-  * EXPERIMENTS.md).
+  * the rewrite-throughput and candidate-filter constants in
+  * [[FleetSimulator]]'s companion are calibrated so the 226 TBHr budget
+  * binds at k in the paper's ≈2500 ballpark (see EXPERIMENTS.md).
   */
 object FleetExperiments {
 
   /** Production-scale configuration for the Figure 10/11 runs. */
-  def prodCfg(nTables: Int = 35000): FleetConfig = FleetConfig(
-    nTables = nTables,
-    nDbs = 60,
-    rewriteTbPerHour = 0.01,
-    burstsPerDay = 300,
-    minSmallFilesCandidate = 1000L,
-    maxCandidateTbHr = 5.0,
-    writeRateChurnPerDay = 0.03)
+  def prodCfg(nTables: Int = 35000): FleetConfig =
+    FleetConfig(nTables = nTables, maxCandidateTbHr = 5.0)
 
   /** Fig 10a: 6 weeks, manual top-100 for weeks 1-2, AutoComp top-10 from
     * week 3 (the paper's transition point).

@@ -50,49 +50,32 @@ final case class DayMetrics(
     totalSmallFiles: Long,
     openCalls: Long)
 
-/** Fleet knobs; defaults calibrated so fleet-level magnitudes land in the
-  * paper's ballpark (§7: ~35K tables, millions of files reduced weekly,
-  * 226 TBHr ⇒ k≈2500). See EXPERIMENTS.md for the calibration notes.
+/** The fleet knobs the §7 figures vary; everything else about the fleet
+  * is a calibrated constant in [[FleetSimulator]]'s companion (see
+  * EXPERIMENTS.md for the calibration notes).
+  *
+  * @param initialSmallFilesScale mean of the initial per-table small-file
+  *   counts (heavy-tailed)
+  * @param maxCandidateTbHr per-candidate compute-cost ceiling in TBHr
+  *   (§4.2: candidates whose cost exceeds the allocation are
+  *   "automatically discarded or flagged for further review")
   */
 final case class FleetConfig(
     nTables: Int = 35000,
-    nDbs: Int = 60,
-    rewriteTbPerHour: Double = 1.0,
-    /** Mean of initial per-table small-file counts (heavy-tailed). */
     initialSmallFilesScale: Double = 800.0,
-    /** Fragmentation bursts/day fleet-wide (migrations, backfills, CDC). */
-    burstsPerDay: Int = 120,
-    burstScale: Double = 5000.0,
-    dbQuotaObjects: Long = 2_000_000L,
-    /** Observe-phase filter: tables below this small-file count are not
-      * auto-compaction candidates (the OpenHouse "too small to matter"
-      * rule) — this is what makes a TBHr budget BIND at a finite k.
-      */
-    minSmallFilesCandidate: Long = 2L,
-    /** Per-candidate compute-cost ceiling in TBHr (§4.2: candidates whose
-      * cost exceeds the allocation are "automatically discarded or flagged
-      * for further review"). Infinite by default.
-      */
-    maxCandidateTbHr: Double = Double.MaxValue,
-    /** Daily probability that a table's write activity is re-drawn — the
-      * fleet churn (§7: "users interact with the system on a daily basis
-      * by modifying their data, creating new tables, and adjusting
-      * workflows") that makes a FIXED manual set go stale.
-      */
-    writeRateChurnPerDay: Double = 0.0)
+    maxCandidateTbHr: Double = Double.MaxValue)
 
 /** Day-granularity simulation of the LinkedIn OpenHouse deployment (§7).
-  * The DECISION code is the real `repro.core` pipeline — quota-weighted
-  * MOOP ranking, top-k / budget-greedy selection — applied to synthesized
+  * The auto policies decide with the real `repro.core` pipeline, making the
+  * same calls as [[AutoComp.runOnce]]: the [[Filters]] of §4.1–4.2,
+  * quota-weighted MOOP ranking and a [[Selector]], applied to synthesized
   * fleet statistics; only growth and the act phase are modeled analytically.
   */
 final class FleetSimulator(cfg: FleetConfig) {
   import FleetSimulator._
 
-  private val compactionCfg = CompactionConfig(
-    targetFileSizeBytes = 512L << 20,
-    executorMemoryGb = 16.0,
-    rewriteBytesPerHour = cfg.rewriteTbPerHour * (1L << 40))
+  private val filters = Seq(Filters.MinSmallFiles(MinSmallFilesCandidate),
+    Filters.MaxComputeCost(cfg.maxCandidateTbHr * 1024, CompactionCfg))
 
   /** Bounded Pareto draw (heavy tail, capped to keep the sim stable). */
   private def pareto(rng: DetRng, scale: Double, cap: Double): Double =
@@ -110,7 +93,7 @@ final class FleetSimulator(cfg: FleetConfig) {
       val activity = writeRate / 30.0
       val small = (pareto(rng.split(i), cfg.initialSmallFilesScale, 1e5) * activity).toLong
       FleetTable(
-        db = rng.split(i + 1000000).nextInt(cfg.nDbs),
+        db = rng.split(i + 1000000).nextInt(NDbs),
         id = i,
         smallFiles = small,
         largeFiles = 50 + rng.split(i + 2000000).nextInt(400),
@@ -139,17 +122,15 @@ final class FleetSimulator(cfg: FleetConfig) {
   private def grow(tables: Vector[FleetTable], day: Int): Unit = {
     val rng = new DetRng(DetRng.combine(Seed, day.toLong, 0xfeedL))
     // churn: some workflows change hands/shape — activity re-drawn
-    if (cfg.writeRateChurnPerDay > 0) {
-      val churnRng = rng.split(0x4151L)
-      tables.foreach { t =>
-        if (churnRng.nextDouble() < cfg.writeRateChurnPerDay)
-          t.writeRatePerDay = pareto(churnRng, 30.0, 2e4)
-      }
+    val churnRng = rng.split(0x4151L)
+    tables.foreach { t =>
+      if (churnRng.nextDouble() < WriteRateChurnPerDay)
+        t.writeRatePerDay = pareto(churnRng, 30.0, 2e4)
     }
     tables.foreach(t => t.smallFiles += math.round(t.writeRatePerDay))
     val cumWeights = burstWeights(tables)
     val total = cumWeights.last
-    (0 until cfg.burstsPerDay).foreach { b =>
+    (0 until BurstsPerDay).foreach { b =>
       val r = rng.split(b)
       val u = r.nextDouble() * total
       val idx = {
@@ -157,43 +138,26 @@ final class FleetSimulator(cfg: FleetConfig) {
         if (i >= 0) i else -(i + 1)
       }
       val t = tables(math.min(idx, tables.size - 1))
-      t.smallFiles += pareto(r, cfg.burstScale, cfg.burstScale * BurstCapFactor).toLong
+      t.smallFiles += pareto(r, BurstScale, BurstScale * BurstCapFactor).toLong
     }
   }
 
-  /** Rank with the production configuration: [[Ranker.defaultMoop]] with
-    * the §7 quota-scaled benefit weight [[Ranker.quotaWeight]].
-    */
-  private def rankAll(tables: Vector[FleetTable]): Vector[ScoredCandidate] = {
-    val usedByDb: Map[Int, Long] =
-      tables.groupBy(_.db).map { case (db, ts) => db -> ts.map(_.totalFiles).sum }
-    def w1(c: Candidate): Double =
-      Ranker.quotaWeight(usedByDb(c.table.db.stripPrefix("db").toInt), cfg.dbQuotaObjects)
-    val costCapGbHr = cfg.maxCandidateTbHr * 1024.0
-    val pool = tables
-      .filter(t => t.smallFiles >= cfg.minSmallFilesCandidate &&
-        Traits.gbHr(t.smallBytes, compactionCfg) <= costCapGbHr)
-      .map { t =>
-      val cand = Candidate(TableRef(s"db${t.db}", s"t${t.id}"), None, Vector.empty)
-      val stats = CandidateStats(
-        fileCount = t.totalFiles.toInt.max(0),
-        smallFileCount = t.smallFiles.toInt.max(0),
-        totalBytes = t.smallBytes + t.largeFiles * compactionCfg.targetFileSizeBytes,
-        smallBytes = t.smallBytes,
-        entropy = 0.0)
-      (cand, stats)
-    }
-    Ranker.defaultMoop.copy(weightOverride = Some(w1)).rank(pool, compactionCfg)
-  }
+  /** Observe phase: a table's statistics, its large files counted at target. */
+  private def observe(t: FleetTable): CandidateStats = CandidateStats(
+    fileCount = t.totalFiles.toInt.max(0),
+    smallFileCount = t.smallFiles.toInt.max(0),
+    totalBytes = t.smallBytes + t.largeFiles * CompactionCfg.targetFileSizeBytes,
+    smallBytes = t.smallBytes,
+    entropy = 0.0)
 
   /** Apply the act phase to one table: bin-pack its small files to target,
     * if that shrinks them. Returns (fileReduction, tbHr).
     */
   private def compactTable(t: FleetTable): (Long, Double) =
-    Traits.packedOutputs(t.smallFiles, t.smallBytes, compactionCfg.targetFileSizeBytes)
+    Traits.packedOutputs(t.smallFiles, t.smallBytes, CompactionCfg.targetFileSizeBytes)
       .fold((0L, 0.0)) { produced =>
         val reduction = t.smallFiles - produced
-        val tbHr = Traits.gbHr(t.smallBytes, compactionCfg) / 1024.0
+        val tbHr = Traits.gbHr(t.smallBytes, CompactionCfg) / 1024.0
         t.largeFiles += produced
         t.smallFiles = 0
         (reduction, tbHr)
@@ -212,16 +176,29 @@ final class FleetSimulator(cfg: FleetConfig) {
       : Vector[DayMetrics] = {
     require(schedule.contains(1), "schedule must define the day-1 policy")
     val tables = initialFleet()
-    val byId = tables.map(t => t.id -> t).toMap
+    // one candidate per table, named as in a catalog; MOOP breaks score
+    // ties by these names
+    val candidates = tables.map(t => Candidate(TableRef(s"db${t.db}", s"t${t.id}"), None, Vector.empty))
+    val byRef = candidates.map(_.table).zip(tables).toMap
     var policy: Policy = schedule(1)
-    var manualSet: Vector[Int] = Vector.empty
+    var manualSet: Vector[FleetTable] = Vector.empty
+
+    // the production decide phase, with the §7 quota weight w1
+    def decide(selector: Selector): Vector[FleetTable] = {
+      val usedByDb: Map[Int, Long] =
+        tables.groupBy(_.db).map { case (db, ts) => db -> ts.map(_.totalFiles).sum }
+      def w1(c: Candidate): Double = Ranker.quotaWeight(usedByDb(byRef(c.table).db), DbQuotaObjects)
+      val (kept, _) = Filters.apply(candidates.zip(tables.map(observe)), filters)
+      val ranked = Ranker.defaultMoop.copy(weightOverride = Some(w1)).rank(kept, CompactionCfg)
+      selector.select(ranked, CompactionCfg).map(sc => byRef(sc.candidate.table))
+    }
 
     def activate(p: Policy): Unit = {
       policy = p
       p match {
         case Policy.ManualFixed(k) =>
           // infra engineers pick the currently most fragmented tables — once
-          manualSet = tables.sortBy(-_.smallFiles).take(k).map(_.id)
+          manualSet = tables.sortBy(-_.smallFiles).take(k)
         case _ => ()
       }
     }
@@ -232,14 +209,10 @@ final class FleetSimulator(cfg: FleetConfig) {
       grow(tables, day)
 
       val picked: Vector[FleetTable] = policy match {
-        case Policy.NoComp          => Vector.empty
-        case Policy.ManualFixed(_)  => manualSet.map(byId)
-        case Policy.AutoTopK(k)     =>
-          rankAll(tables).take(k).map(sc => byId(sc.candidate.table.name.stripPrefix("t").toInt))
-        case Policy.AutoBudget(tb)  =>
-          // reuse the real budget-greedy selector (budget in GBHr)
-          Selector.BudgetGreedy(tb * 1024.0).select(rankAll(tables), compactionCfg)
-            .map(sc => byId(sc.candidate.table.name.stripPrefix("t").toInt))
+        case Policy.NoComp         => Vector.empty
+        case Policy.ManualFixed(_) => manualSet
+        case Policy.AutoTopK(k)    => decide(Selector.TopK(k))
+        case Policy.AutoBudget(tb) => decide(Selector.BudgetGreedy(tb * 1024.0))
       }
 
       val outcomes = picked.map(compactTable)
@@ -258,10 +231,34 @@ final class FleetSimulator(cfg: FleetConfig) {
   }
 }
 
+/** The fleet's calibrated constants: fit once so fleet-level magnitudes
+  * land in the paper's ballpark (§7: ~35K tables, millions of files reduced
+  * weekly, 226 TBHr ⇒ k≈2500), then left untouched. See EXPERIMENTS.md.
+  */
 object FleetSimulator {
   private val Seed = 7L
   /** Pareto tail exponent for initial fragmentation & burst sizes. */
   private val ParetoAlpha = 1.3
-  /** Cap on a single burst (multiples of `burstScale`). */
+  private val NDbs = 60
+  /** Sustained rewrite throughput of one compaction job (GBHr model). */
+  private val RewriteTbPerHour = 0.01
+  /** Fragmentation bursts/day fleet-wide (migrations, backfills, CDC). */
+  private val BurstsPerDay = 300
+  private val BurstScale = 5000.0
+  /** Cap on a single burst (multiples of `BurstScale`). */
   private val BurstCapFactor = 60.0
+  /** Object quota of each database, the `Total` of the §7 weight w1. */
+  private val DbQuotaObjects = 2000000L
+  /** Observe-phase filter: tables below this small-file count are not
+    * candidates (the OpenHouse "too small to matter" rule), which is what
+    * makes a TBHr budget BIND at a finite k.
+    */
+  private val MinSmallFilesCandidate = 1000
+  /** Daily probability that a table's write activity is re-drawn: the §7
+    * churn that makes a FIXED manual set go stale.
+    */
+  private val WriteRateChurnPerDay = 0.03
+
+  private val CompactionCfg = CompactionConfig(targetFileSizeBytes = 512L << 20,
+    executorMemoryGb = 16.0, rewriteBytesPerHour = RewriteTbPerHour * (1L << 40))
 }

@@ -58,8 +58,9 @@ final class LstTable private (val ref: TableRef, val root: Path) {
     ((base + 1) to currentVersion).map(snapshotAt).toVector
 
   /** Validate `op` against the current inventory and, if valid, persist the
-    * next version. Throws [[CommitConflictException]] on a lost race; the
-    * caller (writer or compaction scheduler) owns retry policy.
+    * next version, stamping it as the `addedVersion` of every added file.
+    * Throws [[CommitConflictException]] on a lost race; the caller (writer
+    * or compaction scheduler) owns retry policy.
     */
   def commit(base: Long, op: CommitOp): Snapshot = lock.synchronized {
     val cur = currentVersion
@@ -82,7 +83,7 @@ final class LstTable private (val ref: TableRef, val root: Path) {
       version = cur + 1,
       operation = op.operation,
       timestampMs = System.currentTimeMillis(),
-      files = curSnap.files.filterNot(f => removed(f.path)) ++ op.added,
+      files = curSnap.files.filterNot(f => removed(f.path)) ++ op.added.map(_.copy(addedVersion = cur + 1)),
       addedCount = op.added.size,
       removedCount = removed.size)
     publish(next)

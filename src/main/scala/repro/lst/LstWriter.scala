@@ -10,6 +10,8 @@ import org.apache.parquet.hadoop.util.HadoopInputFile
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
+import repro.util.DetRng
+
 /** Write path for [[LstTable]]: stages Parquet files with a *controllable
   * file count* (the knob that makes small-file proliferation reproducible),
   * adopts them into the table, and commits with optimistic concurrency.
@@ -24,10 +26,7 @@ object LstWriter {
     * retry history (conflicts = number of CommitConflictExceptions absorbed).
     */
   final case class WriteResult(
-      table: TableRef,
-      snapshot: Snapshot,
       addedFiles: Int,
-      addedBytes: Long,
       removedFiles: Int,
       removedBytes: Long,
       attempts: Int,
@@ -52,6 +51,7 @@ object LstWriter {
   /** Stage `df` as Parquet under the table's tmp dir and adopt the produced
     * non-empty files into `data/`, returning their [[DataFile]] entries
     * (tagged with partition values when the table is partitioned).
+    * [[LstTable.commit]] stamps their `addedVersion`.
     *
     * With `partition` given, `df` holds the rows of that one partition
     * without the partition column — the CoW delete path and the compaction
@@ -71,7 +71,7 @@ object LstWriter {
     * repartition into `filesTarget` tasks.
     */
   def stage(spark: SparkSession, table: LstTable, df: DataFrame, filesTarget: Int,
-            baseVersion: Long, partition: Option[String] = None): Vector[DataFile] = {
+            partition: Option[String] = None): Vector[DataFile] = {
     require(filesTarget >= 1, s"filesTarget must be >= 1: $filesTarget")
     val tmp = table.tmpDir.resolve(java.util.UUID.randomUUID().toString)
     val partCol = if (partition.isDefined) None else table.meta.partitionColumn
@@ -108,7 +108,7 @@ object LstWriter {
             val part = partCol.fold(partition)(pc =>
               Some(p.getParent.getFileName.toString.stripPrefix(s"$pc=")))
             val target = table.adoptStagedFile(p)
-            adopted :+= DataFile(target.toString, part, Files.size(target), count, baseVersion + 1)
+            adopted :+= DataFile(target.toString, part, Files.size(target), count, addedVersion = 0L)
           }
         }
       adopted
@@ -133,11 +133,10 @@ object LstWriter {
     */
   def append(spark: SparkSession, table: LstTable, df: DataFrame, filesTarget: Int): WriteResult = {
     val base = table.currentVersion
-    val added = stage(spark, table, df, filesTarget, base)
-    val snap =
-      try table.commit(base, Append(added))
-      catch { case e: Throwable => discard(added); throw e }
-    WriteResult(table.ref, snap, added.size, added.map(_.sizeBytes).sum, 0, 0L, 1, 0, succeeded = true)
+    val added = stage(spark, table, df, filesTarget)
+    try table.commit(base, Append(added))
+    catch { case e: Throwable => discard(added); throw e }
+    WriteResult(added.size, 0, 0L, 1, 0, succeeded = true)
   }
 
   /** Copy-on-write replace: the one commit path of CoW deletes
@@ -165,10 +164,9 @@ object LstWriter {
     while (attempts <= maxRetries) {
       attempts += 1
       val base = table.currentVersion
-      val snap = table.snapshotAt(base)
-      val groups = plan(snap)
+      val groups = plan(table.snapshotAt(base))
       if (groups.isEmpty)
-        return WriteResult(table.ref, snap, 0, 0L, 0, 0L, attempts, conflicts, succeeded = true)
+        return WriteResult(0, 0, 0L, attempts, conflicts, succeeded = true)
 
       val removed = groups.flatMap(_.files)
       var added = Vector.empty[DataFile]
@@ -176,23 +174,24 @@ object LstWriter {
       try {
         groups.foreach { g =>
           val df = transform(LstReader.scanFiles(spark, table, g.files).df)
-          added ++= stage(spark, table, df, g.outputs, base, g.partition)
+          added ++= stage(spark, table, df, g.outputs, g.partition)
         }
         beforeCommit(attempts)
-        val next = table.commit(base, op(removed.map(_.path), added))
+        table.commit(base, op(removed.map(_.path), added))
         committed = true
-        return WriteResult(table.ref, next, added.size, added.map(_.sizeBytes).sum,
-          removed.size, removed.map(_.sizeBytes).sum, attempts, conflicts, succeeded = true)
+        return WriteResult(added.size, removed.size, removed.map(_.sizeBytes).sum,
+          attempts, conflicts, succeeded = true)
       } catch {
         case _: CommitConflictException => conflicts += 1 // re-plan and retry
       } finally if (!committed) discard(added)
     }
-    WriteResult(table.ref, table.currentSnapshot, 0, 0L, 0, 0L, attempts, conflicts, succeeded = false)
+    WriteResult(0, 0, 0L, attempts, conflicts, succeeded = false)
   }
 
   /** Copy-on-write delete of roughly `rowFraction` of the rows held by a
     * sample of the table's files (all files of `partition` when given,
-    * otherwise `fileSample` of the whole table).
+    * otherwise `fileSample` of the whole table). `seed` draws the sample
+    * over the snapshot's file order, so identical tables lose the same rows.
     *
     * Mirrors engine CoW semantics: affected files are fully rewritten minus
     * the deleted rows, producing *smaller, uneven* files (§2 "Updates and
@@ -207,11 +206,14 @@ object LstWriter {
     * columns).
     */
   def deleteFraction(spark: SparkSession, table: LstTable, rowFraction: Double,
-                     partition: Option[String], fileSample: Double = 1.0): WriteResult = {
+                     partition: Option[String], fileSample: Double = 1.0,
+                     seed: Long = 0L): WriteResult = {
     require(rowFraction >= 0 && rowFraction <= 1, s"bad rowFraction $rowFraction")
     def victims(snap: Snapshot): Vector[FileGroup] = {
       val pool = snap.filesIn(partition)
-      pool.sortBy(_.path).take(math.max(1, math.round(pool.size * fileSample).toInt))
+      val rng = new DetRng(seed)
+      pool.map(f => (rng.nextLong(), f)).sortBy(_._1).map(_._2)
+        .take(math.max(1, math.round(pool.size * fileSample).toInt))
         .groupBy(_.partition).toVector.sortBy(_._1.getOrElse(""))
         .map { case (part, group) => FileGroup(part, group, group.size) }
     }

@@ -12,7 +12,8 @@ final case class TableRef(db: String, name: String) {
   *                   tables; every row in the file belongs to this partition
   * @param sizeBytes  physical file size
   * @param recordCount exact row count (from the Parquet footer)
-  * @param addedVersion table version whose commit added this file
+  * @param addedVersion table version whose commit added this file, set by
+  *                     [[LstTable.commit]]
   */
 final case class DataFile(
     path: String,

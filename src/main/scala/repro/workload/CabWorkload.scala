@@ -20,9 +20,9 @@ final case class AppendOp(db: String, table: String, sf: Double,
   val isWrite = true
 }
 
-/** CoW delete of a row fraction (partition-scoped for lineitem). `seed` is
-  * drawn with the plan but not read: [[repro.lst.LstWriter.deleteFraction]]
-  * picks rows by a hash of their contents.
+/** CoW delete of a row fraction (partition-scoped for lineitem). `seed`
+  * draws which `fileSample` of the files [[repro.lst.LstWriter.deleteFraction]]
+  * rewrites; the rows it drops are picked by a hash of their contents.
   */
 final case class DeleteOp(db: String, table: String, rowFraction: Double,
                           partition: Option[String], fileSample: Double,

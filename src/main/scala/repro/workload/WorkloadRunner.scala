@@ -101,7 +101,7 @@ final class WorkloadRunner(spark: SparkSession, catalog: LstCatalog) {
         WriteMetric(hour, a.db, a.table, "append", ms, r.addedFiles, 0, r.conflicts, r.succeeded)
       case d: DeleteOp =>
         val table = catalog.table(d.db, d.table)
-        val r = LstWriter.deleteFraction(spark, table, d.rowFraction, d.partition, d.fileSample)
+        val r = LstWriter.deleteFraction(spark, table, d.rowFraction, d.partition, d.fileSample, d.seed)
         WriteMetric(hour, d.db, d.table, "delete", ms, r.addedFiles, r.removedFiles,
           r.conflicts, r.succeeded)
       case r: ReadOp =>

@@ -1,15 +1,16 @@
 package repro.exp
 
 import repro.core.{CandidateGenerator, CompactionConfig, CompactionExecutor, ScopeStrategy}
+import repro.fleet.DayMetrics
 import repro.lst.{LstFixture, LstReader, LstWriter}
 import repro.tune.{Tuner, WorkloadModel}
 
 /** Exact outputs of the two deterministic, Spark-free experiments — the
-  * Fig 9 tuner runs as `Fig9AutoTuneBench` calls them, and the Fig 10a
-  * schedule on a 2000-table fleet — and of the LST rewrite paths (CoW
-  * delete, compaction) on the test fixtures. Any change to a shared formula
-  * (GBHr, bin-pack output count, trigger rule, trait orientation, MOOP
-  * weights) or to which rows a rewrite keeps fails here.
+  * Fig 9 tuner runs as `Fig9AutoTuneBench` calls them, and the Fig 10a,
+  * 10b and 10c schedules on a 2000-table fleet — and of the LST rewrite
+  * paths (CoW delete, compaction) on the test fixtures. Any change to a
+  * shared formula (GBHr, bin-pack output count, trigger rule, trait
+  * orientation, MOOP weights) or to which rows a rewrite keeps fails here.
   */
 class GoldenOutputsSpec extends LstFixture {
 
@@ -37,6 +38,23 @@ class GoldenOutputsSpec extends LstFixture {
     assert(days.map(_.openCalls).sum == 3599678331L)
     assert(days.last.totalFiles == 114941367L)
     assert(days.last.totalSmallFiles == 111448119L)
+  }
+
+  /** (k compacted, files reduced, TBHr spent, open calls) summed over the
+    * days, then the final (total files, small files).
+    */
+  private def fleetTotals(days: Vector[DayMetrics]) =
+    ((days.map(_.kCompacted).sum, days.map(_.filesReduced).sum, days.map(_.tbHrSpent).sum,
+      days.map(_.openCalls).sum), (days.last.totalFiles, days.last.totalSmallFiles))
+
+  test("reduced-scale Fig 10b and 10c fleet runs are pinned") {
+    val cfg = FleetExperiments.prodCfg(nTables = 2000)
+    // budget-greedy selection under the 2 TBHr per-candidate ceiling
+    assert(fleetTotals(FleetExperiments.runFig10b(cfg.copy(maxCandidateTbHr = 2.0))) ==
+      ((981, 4533962L, 194.44414936336898, 2654574157L), (150809916L, 148909840L)))
+    // no per-candidate ceiling
+    assert(fleetTotals(FleetExperiments.runFig10c(cfg.copy(maxCandidateTbHr = Double.MaxValue))) ==
+      ((9117, 304712827L, 15089.348623223945, 4052945181L), (21131242L, 853226L)))
   }
 
   /** `SynthData` seeds `rand` per Spark partition, so fixture rows (and

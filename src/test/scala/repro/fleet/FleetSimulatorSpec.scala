@@ -5,9 +5,7 @@ import org.scalatest.funsuite.AnyFunSuite
 class FleetSimulatorSpec extends AnyFunSuite {
 
   /** Small fleet for fast tests. */
-  private val cfg = FleetConfig(nTables = 500, nDbs = 10,
-    initialSmallFilesScale = 500.0, burstsPerDay = 10, burstScale = 2000.0,
-    dbQuotaObjects = 100000L)
+  private val cfg = FleetConfig(nTables = 500, initialSmallFilesScale = 500.0)
   private def sim = new FleetSimulator(cfg)
 
   test("initial fleet is deterministic in seed") {
@@ -85,9 +83,12 @@ class FleetSimulatorSpec extends AnyFunSuite {
   }
 
   test("compaction reduces small files to ~zero for picked tables") {
-    val f = sim.initialFleet()
-    val days = sim.run(1, Map(1 -> Policy.AutoTopK(cfg.nTables))) // compact everything
-    assert(days.head.totalSmallFiles < f.map(_.smallFiles).sum / 100)
+    val initial = sim.initialFleet().map(t => t.id -> t.smallFiles).toMap
+    var picked = Vector.empty[FleetTable]
+    // compact every table that passes the candidate filters
+    sim.run(1, Map(1 -> Policy.AutoTopK(cfg.nTables)), onDay = (_, _, p) => picked = p)
+    assert(picked.nonEmpty)
+    assert(picked.map(_.smallFiles).sum < picked.map(t => initial(t.id)).sum / 100)
   }
 
   test("whole run is deterministic (NFR2)") {

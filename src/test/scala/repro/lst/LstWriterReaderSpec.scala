@@ -176,14 +176,20 @@ class LstWriterReaderSpec extends LstFixture {
   }
 
   test("deleteFraction is deterministic in table contents") {
-    val c = freshCatalog()
-    val t1 = c.createTable("db1", "o1", None)
-    val t2 = c.createTable("db1", "o2", None)
-    LstWriter.append(spark, t1, tinyOrders(sf = 0.001), 4)
-    LstWriter.append(spark, t2, tinyOrders(sf = 0.001), 4)
-    LstWriter.deleteFraction(spark, t1, 0.2, None)
-    LstWriter.deleteFraction(spark, t2, 0.2, None)
-    assert(LstReader.scan(spark, t1).df.count() == LstReader.scan(spark, t2).df.count())
+    def keys(t: LstTable): Vector[Long] =
+      LstReader.scan(spark, t).df.select("o_orderkey").collect().map(_.getLong(0)).sorted.toVector
+    // every file, and a seeded half of them
+    Seq(1.0, 0.5).foreach { fileSample =>
+      val c = freshCatalog()
+      val t1 = c.createTable("db1", "o1", None)
+      val t2 = c.createTable("db1", "o2", None)
+      LstWriter.append(spark, t1, tinyOrders(sf = 0.001), 8)
+      LstWriter.append(spark, t2, tinyOrders(sf = 0.001), 8)
+      LstWriter.deleteFraction(spark, t1, 0.2, None, fileSample)
+      LstWriter.deleteFraction(spark, t2, 0.2, None, fileSample)
+      val (k1, k2) = (keys(t1), keys(t2))
+      if (k1 != k2) fail(s"fileSample $fileSample: the tables kept different rows (${k1.size} and ${k2.size})")
+    }
   }
 
   test("deleteFraction retries through a conflict and succeeds") {
@@ -202,6 +208,22 @@ class LstWriterReaderSpec extends LstFixture {
     assert(res.succeeded)
   }
 
+  test("a rewrite's files carry the version it commits, past an intervening append") {
+    val c = freshCatalog()
+    val t = loadedOrders(c, files = 4)
+    val cand = CandidateGenerator.forTable(t, ScopeStrategy.TableScope).head
+    // a user append (v2) lands between the rewrite's staging and its commit
+    val res = CompactionExecutor.compact(spark, c, cand, CompactionConfig(targetFileSizeBytes = 64L << 20),
+      beforeCommit = _ => { LstWriter.append(spark, t, tinyOrders(sf = 0.0005, seed = 2), 1); () })
+    assert(res.succeeded && res.conflicts == 0)
+    val snap = t.currentSnapshot
+    assert(snap.version == 3 && snap.operation == Snapshot.OpRewrite)
+    val appended = t.snapshotAt(2).files.filterNot(f => t.snapshotAt(1).files.contains(f))
+    val rewritten = snap.files.filterNot(f => t.snapshotAt(2).files.exists(_.path == f.path))
+    assert(appended.size == 1 && appended.forall(_.addedVersion == 2L))
+    assert(rewritten.nonEmpty && rewritten.forall(_.addedVersion == 3L), s"rewrite outputs: $rewritten")
+  }
+
   test("appends accumulate files and bytes over multiple writes") {
     val c = freshCatalog()
     val t = c.createTable("db1", "o", None)
@@ -217,7 +239,7 @@ class LstWriterReaderSpec extends LstFixture {
     val t = c.createTable("db1", "o", None)
     val df = tinyOrders(sf = 0.0005).limit(3)
     // ask for far more files than rows: empty splits must be discarded
-    val files = LstWriter.stage(spark, t, df, filesTarget = 16, baseVersion = 0)
+    val files = LstWriter.stage(spark, t, df, filesTarget = 16)
     assert(files.nonEmpty && files.size <= 3)
     assert(files.forall(_.recordCount > 0))
   }
@@ -228,7 +250,7 @@ class LstWriterReaderSpec extends LstFixture {
     // the write job succeeds; recording the schema afterwards fails
     Files.delete(t.root.resolve("meta").resolve("table.json"))
     intercept[IOException] {
-      LstWriter.stage(spark, t, tinyOrders(sf = 0.0005), 4, baseVersion = 0, partition = Some("p"))
+      LstWriter.stage(spark, t, tinyOrders(sf = 0.0005), 4, partition = Some("p"))
     }
     assertNothingLeftBehind(t)
   }
