@@ -17,37 +17,39 @@ class Fig2FileSizeDistBench extends SparkSpec {
 
   test("Figure 2: file size distribution before/after compaction") {
     val catalog = new LstCatalog(Files.createTempDirectory("fig2-"))
-    val wl = new CabWorkload(nDbs = 4, hours = 1, seed = 11L, months = 8)
-    // badly tuned initial load (the derived-data pattern of Figure 1);
-    // SF picked so a compacted partition can actually REACH the target size
-    wl.setup(spark, catalog, initialSf = 0.05, initialLineitemFiles = 10,
-      initialOrdersFiles = 20)
-    val target = 512L << 10
+    try {
+      val wl = new CabWorkload(nDbs = 4, hours = 1, seed = 11L, months = 8)
+      // badly tuned initial load (the derived-data pattern of Figure 1);
+      // SF picked so a compacted partition can actually REACH the target size
+      wl.setup(spark, catalog, initialSf = 0.05, initialLineitemFiles = 10,
+        initialOrdersFiles = 20)
+      val target = 512L << 10
 
-    // The paper's "small file" line is 128 MB against a 512 MB target —
-    // a QUARTER of target — so the headline share uses target/4 here too
-    // (scaled: <128 KB against our 512 KB target).
-    val before = FileSizeDistribution.histogram(catalog, target)
-    val pctBefore = FileSizeDistribution.pctBelowTarget(catalog, target / 4)
+      // The paper's "small file" line is 128 MB against a 512 MB target —
+      // a QUARTER of target — so the headline share uses target/4 here too
+      // (scaled: <128 KB against our 512 KB target).
+      val before = FileSizeDistribution.histogram(catalog, target)
+      val pctBefore = FileSizeDistribution.pctBelowTarget(catalog, target / 4)
 
-    val acfg = AutoCompConfig(
-      ScopeStrategy.Hybrid,
-      CompactionConfig(target),
-      Seq(Filters.MinSmallFiles(2)),
-      Ranker.defaultMoop,
-      Selector.TopK(1000))
-    new AutoComp(catalog).runOnce(spark, acfg)
+      val acfg = AutoCompConfig(
+        ScopeStrategy.Hybrid,
+        CompactionConfig(target),
+        Seq(Filters.MinSmallFiles(2)),
+        Ranker.defaultMoop,
+        Selector.TopK(1000))
+      new AutoComp(catalog).runOnce(spark, acfg)
 
-    val after = FileSizeDistribution.histogram(catalog, target)
-    val pctAfter = FileSizeDistribution.pctBelowTarget(catalog, target / 4)
-    println(Reports.fig2(before, after, pctBefore, pctAfter))
+      val after = FileSizeDistribution.histogram(catalog, target)
+      val pctAfter = FileSizeDistribution.pctBelowTarget(catalog, target / 4)
+      println(Reports.fig2(before, after, pctBefore, pctAfter))
 
-    assert(pctBefore > 90.0, s"untuned load should be almost all small files: $pctBefore")
-    assert(pctAfter < pctBefore - 20.0,
-      s"compaction must shift the distribution: $pctBefore -> $pctAfter")
-    // the sub-quarter-target mass must collapse
-    def belowQuarter(h: Vector[(String, Double)]): Double = h.take(3).map(_._2).sum
-    assert(belowQuarter(after) < belowQuarter(before) / 4,
-      s"sub-target/4 mass: ${belowQuarter(before)} -> ${belowQuarter(after)}")
+      assert(pctBefore > 90.0, s"untuned load should be almost all small files: $pctBefore")
+      assert(pctAfter < pctBefore - 20.0,
+        s"compaction must shift the distribution: $pctBefore -> $pctAfter")
+      // the sub-quarter-target mass must collapse
+      def belowQuarter(h: Vector[(String, Double)]): Double = h.take(3).map(_._2).sum
+      assert(belowQuarter(after) < belowQuarter(before) / 4,
+        s"sub-target/4 mass: ${belowQuarter(before)} -> ${belowQuarter(after)}")
+    } finally catalog.delete()
   }
 }

@@ -14,16 +14,14 @@ final case class AutoCompConfig(
     scheduler: SchedulerConfig = SchedulerConfig())
 
 /** One run's full, explainable record (NFR2): counts at every phase
-  * boundary plus per-work-unit results and the feedback-loop observation
-  * (post-act file counts per touched table).
+  * boundary plus per-work-unit results, each carrying its act outcome.
   */
 final case class AutoCompReport(
     generated: Int,
     filteredOut: Map[String, Int],
     ranked: Int,
     selected: Vector[ScoredCandidate],
-    results: Vector[CompactionResult],
-    feedbackFileCounts: Map[String, Int]) {
+    results: Vector[CompactionResult]) {
   def filesRemoved: Int = results.map(_.removedFiles).sum
   def filesAdded: Int = results.map(_.addedFiles).sum
   def netFileReduction: Int = filesRemoved - filesAdded
@@ -34,9 +32,10 @@ final case class AutoCompReport(
 }
 
 /** The AutoComp framework (Figure 4): observe → orient → decide → act with
-  * optional inter-phase filters and a feedback observation. Stateless across
-  * runs — every run re-observes the catalog, so it serves both the periodic
-  * ("pull") and post-write ("push") execution modes (§5).
+  * optional inter-phase filters. Stateless across runs — every run
+  * re-observes the catalog, so it serves both the periodic ("pull") and
+  * post-write ("push") execution modes (§5). No table is read after the
+  * act phase, so one failed work unit cannot abort the run.
   */
 final class AutoComp(catalog: LstCatalog) {
 
@@ -54,11 +53,7 @@ final class AutoComp(catalog: LstCatalog) {
     val selected = acfg.selector.select(ranked, acfg.cfg)
     // Act
     val results = new CompactionScheduler(acfg.scheduler).run(spark, catalog, selected, acfg.cfg)
-    // Feedback loop: re-observe touched tables
-    val feedback = results.map(_.table).distinct.map { ref =>
-      ref.toString -> catalog.table(ref).currentSnapshot.fileCount
-    }.toMap
-    AutoCompReport(candidates.size, rejected, ranked.size, selected, results, feedback)
+    AutoCompReport(candidates.size, rejected, ranked.size, selected, results)
   }
 }
 

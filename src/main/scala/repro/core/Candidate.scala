@@ -3,29 +3,24 @@ package repro.core
 import repro.lst.{DataFile, TableRef}
 
 /** How candidates are scoped across the catalog (§4.1, §6 "Candidate
-  * Selection and Scheduling"): table scope everywhere, partition scope
-  * everywhere, the paper's hybrid — partition scope for partitioned tables,
-  * table scope otherwise — or a snapshot tail.
+  * Selection and Scheduling"): table scope everywhere, or the paper's
+  * hybrid — partition scope for partitioned tables, table scope otherwise.
   */
 sealed trait ScopeStrategy
 object ScopeStrategy {
   /** One candidate per table (the original OpenHouse strategy, §6/§7). */
   case object TableScope extends ScopeStrategy
-  /** One candidate per partition of a partitioned table. */
-  case object PartitionScope extends ScopeStrategy
-  case object Hybrid extends ScopeStrategy
-  /** Files added within the last N table versions only — for keeping fresh
-    * data optimal without touching cold history (§4.1).
+  /** One candidate per partition value of the current snapshot. Every file
+    * of an unpartitioned table has partition `None`, so such a table yields
+    * one table-scope candidate; partition scope everywhere is the same
+    * strategy.
     */
-  final case class SnapshotScope(lastVersions: Int) extends ScopeStrategy {
-    require(lastVersions >= 1)
-  }
+  case object Hybrid extends ScopeStrategy
 }
 
-/** A collection of files to be compacted (§4.1): a whole table, one
-  * partition, or a snapshot tail. Compaction never crosses partitions (§7
-  * "Model Accuracy"), which the executor enforces by grouping `files` by
-  * partition value.
+/** A collection of files to be compacted (§4.1): a whole table or one
+  * partition. Compaction never crosses partitions (§7 "Model Accuracy"),
+  * which the executor enforces by grouping `files` by partition value.
   */
 final case class Candidate(table: TableRef, partition: Option[String], files: Vector[DataFile]) {
   /** Stable identity used for logging and deterministic ordering. */

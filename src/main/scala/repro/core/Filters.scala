@@ -29,22 +29,6 @@ object Filters {
     def keep(c: Candidate, stats: CandidateStats): Boolean = stats.smallFileCount >= n
   }
 
-  /** Skip tables that are too small overall to matter (§3.3 example). */
-  final case class MinTotalBytes(bytes: Long) extends CandidateFilter {
-    val name = s"minTotalBytes($bytes)"
-    def keep(c: Candidate, stats: CandidateStats): Boolean = stats.totalBytes >= bytes
-  }
-
-  /** OpenHouse rule (§4.1): never compact a recently created table — its
-    * long-term health impact is unknown and it may be an intermediate table.
-    */
-  final case class NotRecentlyCreated(catalog: LstCatalog, windowMs: Long, nowMs: () => Long)
-      extends CandidateFilter {
-    val name = s"notRecentlyCreated(${windowMs}ms)"
-    def keep(c: Candidate, stats: CandidateStats): Boolean =
-      nowMs() - catalog.table(c.table).meta.createdAtMs >= windowMs
-  }
-
   /** Avoid compacting candidates written very recently (conflict avoidance,
     * §3.3): skip if any file was added within the last `versions` commits.
     */

@@ -5,7 +5,6 @@ package repro.core
   * broken by candidate id so identical pools always rank identically.
   */
 trait Ranker {
-  def name: String
   def rank(pool: Vector[(Candidate, CandidateStats)], cfg: CompactionConfig): Vector[ScoredCandidate]
 
   protected def orientAll(pool: Vector[(Candidate, CandidateStats)], cfg: CompactionConfig)
@@ -43,7 +42,6 @@ object Ranker {
     * the rest are dropped.
     */
   final case class ThresholdRanker(rule: TriggerRule) extends Ranker {
-    val name = s"threshold(${rule.name})"
     def rank(pool: Vector[(Candidate, CandidateStats)], cfg: CompactionConfig): Vector[ScoredCandidate] = {
       val scored = orientAll(pool, cfg).collect { case (c, s, traits) if rule.fires(s, cfg) =>
         ScoredCandidate(c, s, traits, rule.value(s, cfg))
@@ -66,7 +64,6 @@ object Ranker {
                               weightOverride: Option[Candidate => Double] = None) extends Ranker {
     require(weights.nonEmpty, "MOOP needs at least one trait")
     require(math.abs(weights.map(_._2).sum - 1.0) < 1e-9, s"weights must sum to 1: $weights")
-    val name = s"moop(${weights.map { case (t, w) => s"${t.name}:$w" }.mkString(",")})"
 
     def rank(pool: Vector[(Candidate, CandidateStats)], cfg: CompactionConfig): Vector[ScoredCandidate] = {
       if (pool.isEmpty) return Vector.empty
@@ -108,8 +105,6 @@ object Ranker {
   * [[OptimizeAfterWriteHook]] and the Fig 9 workload model.
   */
 final case class TriggerRule(trait_ : TraitCalc, threshold: Double, asRatioOfFiles: Boolean = false) {
-  def name: String = s"${trait_.name} >= $threshold${if (asRatioOfFiles) " ratio" else ""}"
-
   def value(stats: CandidateStats, cfg: CompactionConfig): Double = {
     val raw = trait_.compute(stats, cfg)
     if (asRatioOfFiles && stats.fileCount > 0) raw / stats.fileCount else raw
@@ -133,7 +128,6 @@ object TriggerRule {
 
 /** Decide-phase selection: pick the work units that go to the act phase. */
 trait Selector {
-  def name: String
   def select(ranked: Vector[ScoredCandidate], cfg: CompactionConfig): Vector[ScoredCandidate]
 }
 
@@ -141,7 +135,6 @@ object Selector {
 
   /** Fixed top-k selection (§7 initial rollout: k ≈ 10). */
   final case class TopK(k: Int) extends Selector {
-    val name = s"topK($k)"
     def select(ranked: Vector[ScoredCandidate], cfg: CompactionConfig): Vector[ScoredCandidate] =
       ranked.take(k)
   }
@@ -153,7 +146,6 @@ object Selector {
     * skipped, not blockers.
     */
   final case class BudgetGreedy(budgetGbHr: Double) extends Selector {
-    val name = s"budgetGreedy($budgetGbHr GBHr)"
     def select(ranked: Vector[ScoredCandidate], cfg: CompactionConfig): Vector[ScoredCandidate] = {
       var spent = 0.0
       val picked = Vector.newBuilder[ScoredCandidate]

@@ -101,10 +101,16 @@ object CabExperiment {
   /** Run one strategy end to end on a fresh catalog. Compaction ticks fire
     * at the start of hours 2..hours (⇒ `hours-1` executions — the paper's
     * "four compaction executions in a 5 hour timeframe") and run
-    * CONCURRENTLY with that hour's workload.
+    * CONCURRENTLY with that hour's workload. The catalog is deleted when
+    * the run ends.
     */
   def runStrategy(spark: SparkSession, p: Params, strat: StrategyDef): StrategyResult = {
     val catalog = new LstCatalog(Files.createTempDirectory(s"cab-${strat.name}-"))
+    try runOn(spark, p, strat, catalog) finally catalog.delete()
+  }
+
+  private def runOn(spark: SparkSession, p: Params, strat: StrategyDef,
+                    catalog: LstCatalog): StrategyResult = {
     val wl = new CabWorkload(p.nDbs, p.hours, p.seed, p.months, p.appendSf, p.appendFiles)
     wl.setup(spark, catalog, p.initialSf, p.initialLineitemFiles, p.initialOrdersFiles)
     val runner = new WorkloadRunner(spark, catalog)

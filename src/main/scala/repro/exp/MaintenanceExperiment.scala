@@ -56,10 +56,15 @@ object MaintenanceExperiment {
   private def liveFiles(catalog: LstCatalog): Long =
     catalog.allTables.map(r => catalog.table(r).currentSnapshot.fileCount.toLong).sum
 
+  /** The three phases on a fresh catalog, deleted when the run ends. */
   def run(spark: SparkSession, p: Params = Params()): Vector[PhaseResult] = {
     val catalog = new LstCatalog(Files.createTempDirectory("maint-"))
-    val li = catalog.createTable("tpch", "lineitem", Some("l_shipmonth"), nowMs = 0L)
-    val ord = catalog.createTable("tpch", "orders", None, nowMs = 0L)
+    try runOn(spark, p, catalog) finally catalog.delete()
+  }
+
+  private def runOn(spark: SparkSession, p: Params, catalog: LstCatalog): Vector[PhaseResult] = {
+    val li = catalog.createTable("tpch", "lineitem", Some("l_shipmonth"))
+    val ord = catalog.createTable("tpch", "orders", None)
     LstWriter.append(spark, li,
       SynthData.lineitemMonthly(spark, p.sf, p.months, Seed), p.initialFiles)
     LstWriter.append(spark, ord, SynthData.orders(spark, p.sf, Seed + 1), p.initialFiles)

@@ -5,7 +5,7 @@ import scala.jdk.CollectionConverters._
 import scala.util.Using
 
 /** Minimal OpenHouse-style catalog: a directory tree of databases and
-  * tables with table creation timestamps.
+  * tables.
   *
   * Layout: `<root>/<db>/.db` (an empty marker naming the database) and
   * `<root>/<db>/<table>/...` ([[LstTable]] layout below each table
@@ -22,10 +22,9 @@ final class LstCatalog(val root: Path) {
     Files.write(dbMarker(db), Array.emptyByteArray)
   }
 
-  def createTable(db: String, name: String, partitionColumn: Option[String],
-                  nowMs: Long = System.currentTimeMillis()): LstTable = {
+  def createTable(db: String, name: String, partitionColumn: Option[String]): LstTable = {
     if (!Files.exists(dbMarker(db))) createDb(db)
-    LstTable.create(TableRef(db, name), dbDir(db).resolve(name), partitionColumn, nowMs)
+    LstTable.create(TableRef(db, name), dbDir(db).resolve(name), partitionColumn)
   }
 
   def table(db: String, name: String): LstTable =
@@ -47,10 +46,12 @@ final class LstCatalog(val root: Path) {
 
   def allTables: Vector[TableRef] = listDbs.flatMap(listTables)
 
-  def dropTable(db: String, name: String): Unit = {
-    val dir = dbDir(db).resolve(name)
-    if (Files.exists(dir)) {
+  def dropTable(db: String, name: String): Unit = deleteTree(dbDir(db).resolve(name))
+
+  /** Remove the whole catalog tree, every table's data included. */
+  def delete(): Unit = deleteTree(root)
+
+  private def deleteTree(dir: Path): Unit =
+    if (Files.exists(dir))
       Using.resource(Files.walk(dir))(_.iterator.asScala.toVector).reverse.foreach(Files.deleteIfExists(_))
-    }
-  }
 }

@@ -79,13 +79,8 @@ final class LstTable private (val ref: TableRef, val root: Path) {
     val missing = removed -- curSnap.files.iterator.map(_.path)
     if (missing.nonEmpty)
       throw conflict(s"${missing.size} file(s) to remove are not in the current snapshot")
-    val next = Snapshot(
-      version = cur + 1,
-      operation = op.operation,
-      timestampMs = System.currentTimeMillis(),
-      files = curSnap.files.filterNot(f => removed(f.path)) ++ op.added.map(_.copy(addedVersion = cur + 1)),
-      addedCount = op.added.size,
-      removedCount = removed.size)
+    val next = Snapshot(cur + 1, op.operation,
+      curSnap.files.filterNot(f => removed(f.path)) ++ op.added.map(_.copy(addedVersion = cur + 1)))
     publish(next)
     next
   }
@@ -124,12 +119,12 @@ object LstTable {
   def exists(root: Path): Boolean = Files.exists(hintFile(root))
 
   /** Create a brand-new table at `root` (must not already hold one). */
-  def create(ref: TableRef, root: Path, partitionColumn: Option[String], nowMs: Long): LstTable = {
+  def create(ref: TableRef, root: Path, partitionColumn: Option[String]): LstTable = {
     require(!exists(root), s"table already exists at $root")
     val t = new LstTable(ref, root)
     Seq(t.dataDir, t.tmpDir, metaDir(root)).foreach(Files.createDirectories(_))
-    t.writeMeta(TableMeta(ref.db, ref.name, partitionColumn, nowMs, None))
-    t.publish(Snapshot(0L, Snapshot.OpCreate, nowMs, Vector.empty, 0, 0))
+    t.writeMeta(TableMeta(partitionColumn, None))
+    t.publish(Snapshot(0L, Snapshot.OpCreate, Vector.empty))
     t
   }
 

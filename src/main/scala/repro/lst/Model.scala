@@ -25,21 +25,12 @@ final case class DataFile(
 /** A committed table version: the complete data-file inventory after the
   * commit, Iceberg-snapshot style (manifests merged into one list).
   *
-  * @param version      monotonically increasing table version (v0 = empty)
-  * @param operation    one of [[Snapshot.OpAppend]] / [[Snapshot.OpOverwrite]]
-  *                     / [[Snapshot.OpRewrite]] / [[Snapshot.OpCreate]]
-  * @param timestampMs  wall-clock commit time (informational only)
-  * @param files        full file inventory at this version
-  * @param addedCount   files added by this commit
-  * @param removedCount files removed by this commit
+  * @param version   monotonically increasing table version (v0 = empty)
+  * @param operation one of [[Snapshot.OpAppend]] / [[Snapshot.OpOverwrite]]
+  *                  / [[Snapshot.OpRewrite]] / [[Snapshot.OpCreate]]
+  * @param files     full file inventory at this version
   */
-final case class Snapshot(
-    version: Long,
-    operation: String,
-    timestampMs: Long,
-    files: Vector[DataFile],
-    addedCount: Int,
-    removedCount: Int) {
+final case class Snapshot(version: Long, operation: String, files: Vector[DataFile]) {
 
   def fileCount: Int = files.size
   def totalBytes: Long = files.iterator.map(_.sizeBytes).sum
@@ -65,12 +56,7 @@ object Snapshot {
   * @param schemaJson      Spark StructType JSON captured at first append so
   *                        empty-table scans stay typed
   */
-final case class TableMeta(
-    db: String,
-    name: String,
-    partitionColumn: Option[String],
-    createdAtMs: Long,
-    schemaJson: Option[String])
+final case class TableMeta(partitionColumn: Option[String], schemaJson: Option[String])
 
 /** A write operation submitted to [[LstTable.commit]]: it removes the
   * files at `removed` and adds `added`. A commit conflicts if any removed

@@ -8,8 +8,8 @@ import repro.util.DetRng
   * The paper tunes thresholds over multi-hour cluster runs; each Figure-9
   * iteration cost hours of a 16-node cluster. We replace the cluster with a
   * calibrated cost model over the same state machine: per-table file counts
-  * evolve through write phases, queries cost `queryBaseSec +
-  * perFileMsSec × filesScanned` (the scan-amplification relationship the
+  * evolve through write phases, queries cost `QueryBaseSec +
+  * perFileSec × filesScanned` (the scan-amplification relationship the
   * real substrate exhibits — validated against actual Spark scans in
   * `WorkloadModelSpec`), and compaction costs rewrite-bytes/throughput,
   * scaled by `contention` when it shares the cluster with queries.
@@ -25,13 +25,10 @@ import repro.util.DetRng
 final case class WorkloadModel(
     name: String,
     nTables: Int,
-    partitionsPerTable: Int, // 1 = non-partitioned (whole-table rewrites)
-    phases: Int,
+    partitioned: Boolean, // false: compaction rewrites whole tables
     queriesPerPhase: Int,
     writesPerPhase: Int,
     filesPerWrite: Int,
-    fileSizeMb: Double,
-    queryBaseSec: Double,
     perFileSec: Double,
     rewriteSecPerGb: Double,
     contention: Double,
@@ -44,7 +41,7 @@ final case class WorkloadModel(
     * named trait (§6.3; names as in [[TriggerRule.named]]). `threshold > 1`
     * effectively disables auto-compaction (the "default" configuration in
     * Fig. 9). Per-table state is (smallFiles, largeFiles): small files have
-    * `fileSizeMb`; large files sit at target.
+    * `FileSizeMb`; large files sit at target.
     */
   def evaluate(traitName: String, threshold: Double): Double = {
     // The op sequence is a property of the WORKLOAD, not of the trigger
@@ -57,7 +54,7 @@ final case class WorkloadModel(
     var duration = 0.0
 
     def fires(t: Int): Boolean = {
-      val sizes = Seq.fill(small(t))((fileSizeMb * (1L << 20)).toLong) ++
+      val sizes = Seq.fill(small(t))((FileSizeMb * (1L << 20)).toLong) ++
         Seq.fill(large(t))(cfg.targetFileSizeBytes)
       rule.fires(Traits.observe(sizes, cfg.targetFileSizeBytes), cfg)
     }
@@ -66,22 +63,22 @@ final case class WorkloadModel(
       // bin-pack small files to target when that shrinks them; non-partitioned tables (the TPC-H
       // case) must rewrite the WHOLE table — Iceberg's rewrite reshuffles
       // the one big unpartitioned layout (§6.3 observation (i))
-      val smallGb = small(t) * fileSizeMb / 1024.0
+      val smallGb = small(t) * FileSizeMb / 1024.0
       Traits.packedOutputs(small(t), (smallGb * (1L << 30)).toLong, cfg.targetFileSizeBytes).foreach { out =>
         val rewriteGb =
-          if (partitionsPerTable == 1) smallGb + large(t) * (cfg.targetFileSizeBytes.toDouble / (1L << 30))
-          else smallGb
+          if (partitioned) smallGb
+          else smallGb + large(t) * (cfg.targetFileSizeBytes.toDouble / (1L << 30))
         duration += rewriteGb * rewriteSecPerGb * contention
         large(t) += out.toInt
         small(t) = 0
       }
     }
 
-    (1 to phases).foreach { _ =>
+    (1 to Phases).foreach { _ =>
       // query sub-phase
       (1 to queriesPerPhase).foreach { _ =>
         val t = rng.nextInt(nTables)
-        duration += queryBaseSec + perFileSec * (small(t) + large(t))
+        duration += QueryBaseSec + perFileSec * (small(t) + large(t))
       }
       // data-modification sub-phase with optimize-after-write hook
       (1 to writesPerPhase).foreach { _ =>
@@ -98,15 +95,20 @@ final case class WorkloadModel(
 object WorkloadModel {
   private val Seed = 11L
   private val cfg = CompactionConfig(512L << 20)
+  /** Write/query phases per run, the same in every archetype. */
+  private val Phases = 10
+  /** Size of each file a write adds. */
+  private val FileSizeMb = 16.0
+  /** Fixed cost of a query before its per-file scan cost. */
+  private val QueryBaseSec = 4.0
 
   /** TPC-DS WP1-like: fragmentation grows fast, queries dominate → the
     * right threshold pays for itself (paper: up to 2× query-time gain).
     */
   def wp1: WorkloadModel = WorkloadModel(
-    name = "tpcds-wp1", nTables = 12, partitionsPerTable = 24,
-    phases = 10, queriesPerPhase = 60, writesPerPhase = 25,
-    filesPerWrite = 40, fileSizeMb = 16.0,
-    queryBaseSec = 4.0, perFileSec = 0.05, rewriteSecPerGb = 1.2,
+    name = "tpcds-wp1", nTables = 12, partitioned = true,
+    queriesPerPhase = 60, writesPerPhase = 25, filesPerWrite = 40,
+    perFileSec = 0.05, rewriteSecPerGb = 1.2,
     contention = 1.0, initialSmallFiles = 100, initialLargeFiles = 96)
 
   /** TPC-DS WP3-like: decoupled read/write clusters — compaction barely
@@ -120,9 +122,8 @@ object WorkloadModel {
     * cost far more than they save (§6.3 observation (i)).
     */
   def tpch: WorkloadModel = WorkloadModel(
-    name = "tpch", nTables = 8, partitionsPerTable = 1,
-    phases = 10, queriesPerPhase = 5, writesPerPhase = 60,
-    filesPerWrite = 10, fileSizeMb = 16.0,
-    queryBaseSec = 4.0, perFileSec = 0.01, rewriteSecPerGb = 2.0,
+    name = "tpch", nTables = 8, partitioned = false,
+    queriesPerPhase = 5, writesPerPhase = 60, filesPerWrite = 10,
+    perFileSec = 0.01, rewriteSecPerGb = 2.0,
     contention = 1.0, initialSmallFiles = 40, initialLargeFiles = 200)
 }

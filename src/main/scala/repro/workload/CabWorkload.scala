@@ -144,8 +144,8 @@ final class CabWorkload(
     (0 until nDbs).foreach { i =>
       val db = dbName(i)
       catalog.createDb(db)
-      val li = catalog.createTable(db, "lineitem", Some("l_shipmonth"), nowMs = 0L)
-      val ord = catalog.createTable(db, "orders", None, nowMs = 0L)
+      val li = catalog.createTable(db, "lineitem", Some("l_shipmonth"))
+      val ord = catalog.createTable(db, "orders", None)
       val liSeed = DetRng.combine(seed, i.toLong, 101L)
       val ordSeed = DetRng.combine(seed, i.toLong, 202L)
       LstWriter.append(spark, li,

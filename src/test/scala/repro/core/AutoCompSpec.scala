@@ -32,7 +32,8 @@ class AutoCompSpec extends LstFixture {
     loadedOrders(c, files = 6)
     val report = new AutoComp(c).runOnce(spark, acfg())
     assert(report.ranked == 1 && report.selected.size == 1)
-    assert(report.feedbackFileCounts == Map("db1.orders" -> 1))
+    assert(report.results.map(r => (r.table.toString, r.removedFiles, r.addedFiles)) ==
+      Vector(("db1.orders", 6, 1)))
     assert(report.bytesRewritten > 0L)
     assert(report.clusterConflicts == 0)
     assert(report.netFileReduction == 5)
@@ -133,6 +134,22 @@ class AutoCompSpec extends LstFixture {
       .run(spark, c, selected, cfg)
     assert(results.map(r => (r.table.name, r.succeeded)) == Vector("o1" -> false, "o2" -> true))
     assert(results.head.attempts == 1 && !results.head.skipped)
+    assert(c.table("db2", "o2").currentSnapshot.fileCount == 1)
+  }
+
+  test("a table dropped before the act phase fails only its own unit") {
+    val c = freshCatalog()
+    loadedOrders(c, db = "db1", name = "o1", files = 6)
+    loadedOrders(c, db = "db2", name = "o2", files = 6)
+    val dropO1 = new CandidateFilter {
+      val name = "dropO1"
+      def keep(cand: Candidate, stats: CandidateStats): Boolean = {
+        if (cand.table == TableRef("db1", "o1")) c.dropTable("db1", "o1")
+        true
+      }
+    }
+    val report = new AutoComp(c).runOnce(spark, acfg(filters = Seq(dropO1)))
+    assert(report.results.map(r => (r.table.name, r.succeeded)) == Vector("o1" -> false, "o2" -> true))
     assert(c.table("db2", "o2").currentSnapshot.fileCount == 1)
   }
 

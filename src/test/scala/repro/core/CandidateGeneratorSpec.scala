@@ -16,7 +16,7 @@ class CandidateGeneratorSpec extends LstFixture {
   test("partition scope yields one candidate per partition, sorted") {
     val c = freshCatalog()
     val t = loadedLineitem(c, months = 3)
-    val cands = CandidateGenerator.forTable(t, ScopeStrategy.PartitionScope)
+    val cands = CandidateGenerator.forTable(t, ScopeStrategy.Hybrid)
     val parts = t.currentSnapshot.partitions
     assert(cands.map(_.partition.get) == parts)
     assert(cands.flatMap(_.files).size == t.currentSnapshot.fileCount)
@@ -26,25 +26,8 @@ class CandidateGeneratorSpec extends LstFixture {
   test("partition scope on unpartitioned table groups under None") {
     val c = freshCatalog()
     val t = loadedOrders(c, files = 4)
-    val cands = CandidateGenerator.forTable(t, ScopeStrategy.PartitionScope)
+    val cands = CandidateGenerator.forTable(t, ScopeStrategy.Hybrid)
     assert(cands.size == 1 && cands.head.partition.isEmpty)
-  }
-
-  test("snapshot tail scope keeps only recently added files") {
-    val c = freshCatalog()
-    val t = c.createTable("db1", "o", None)
-    LstWriter.append(spark, t, tinyOrders(sf = 0.0005, seed = 1), 3) // v1
-    LstWriter.append(spark, t, tinyOrders(sf = 0.0005, seed = 2), 4) // v2
-    val cands = CandidateGenerator.forTable(t, ScopeStrategy.SnapshotScope(1))
-    assert(cands.head.files.size == 4) // only v2's files
-    assert(cands.head.files.forall(_.addedVersion == 2L))
-  }
-
-  test("snapshot tail wider than history covers everything") {
-    val c = freshCatalog()
-    val t = loadedOrders(c, files = 3)
-    val cands = CandidateGenerator.forTable(t, ScopeStrategy.SnapshotScope(100))
-    assert(cands.head.files.size == 3)
   }
 
   test("generate with TableScope covers all tables deterministically sorted") {

@@ -93,7 +93,7 @@ class CompactionExecutorSpec extends LstFixture {
     val c = freshCatalog()
     val t = loadedLineitem(c, months = 3, filesPerPartition = 3)
     val before = t.currentSnapshot
-    val cands = CandidateGenerator.forTable(t, ScopeStrategy.PartitionScope)
+    val cands = CandidateGenerator.forTable(t, ScopeStrategy.Hybrid)
     val victim = cands.head
     CompactionExecutor.compact(spark, c, victim, cfg)
     val after = t.currentSnapshot

@@ -19,30 +19,12 @@ class FiltersSpec extends LstFixture {
     assert(f.keep(cand("b", Seq(10, 10, 10))._1, cand("b", Seq(10, 10, 10))._2))
   }
 
-  test("MinTotalBytes") {
-    val f = Filters.MinTotalBytes(100L)
-    val small = cand("a", Seq(40, 40))
-    val big = cand("b", Seq(60, 60))
-    assert(!f.keep(small._1, small._2))
-    assert(f.keep(big._1, big._2))
-  }
-
   test("MaxComputeCost drops candidates beyond the per-task budget") {
     val cheap = cand("a", Seq(100L))
     val pricey = cand("b", Seq.fill(100)(999L))
     val f = Filters.MaxComputeCost(0.01, cfg)
     assert(f.keep(cheap._1, cheap._2))
     assert(!f.keep(pricey._1, pricey._2))
-  }
-
-  test("NotRecentlyCreated respects the creation window (OpenHouse rule)") {
-    val c = freshCatalog()
-    c.createTable("db1", "young", None, nowMs = 900L)
-    c.createTable("db1", "old", None, nowMs = 100L)
-    val f = Filters.NotRecentlyCreated(c, windowMs = 500L, nowMs = () => 1000L)
-    val young = cand("young", Seq(1)); val old = cand("old", Seq(1))
-    assert(!f.keep(young._1.copy(table = TableRef("db1", "young")), young._2))
-    assert(f.keep(old._1.copy(table = TableRef("db1", "old")), old._2))
   }
 
   test("NoWriteInLastVersions skips candidates with fresh files") {
@@ -73,7 +55,7 @@ class FiltersSpec extends LstFixture {
   test("first rejecting filter is charged (ordered evaluation)") {
     val pool = Vector(cand("a", Seq(10)))
     val (_, rejected) = Filters.apply(pool,
-      Seq(Filters.MinSmallFiles(5), Filters.MinTotalBytes(1000000L)))
+      Seq(Filters.MinSmallFiles(5), Filters.MaxComputeCost(0.0, cfg)))
     assert(rejected.keySet == Set("minSmallFiles(5)"))
   }
 }

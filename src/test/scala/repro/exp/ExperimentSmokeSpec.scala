@@ -1,5 +1,9 @@
 package repro.exp
 
+import java.nio.file.{Files, Path}
+import scala.jdk.CollectionConverters._
+import scala.util.Using
+
 import repro.lst.LstFixture
 
 /** Integration smoke tests: the experiment harnesses behind the benches,
@@ -8,13 +12,29 @@ import repro.lst.LstFixture
 class ExperimentSmokeSpec extends LstFixture {
 
   private val tiny = CabExperiment.Params(
-    nDbs = 2, hours = 2, seed = 9, months = 3,
+    nDbs = 2, hours = 3, seed = 9, months = 3,
     appendSf = 0.0005, appendFiles = 3,
     initialSf = 0.001, initialLineitemFiles = 3, initialOrdersFiles = 4)
 
+  private val sweptNames = Vector("nocomp", "table-10", "hybrid-500")
+
+  private def cabDirs: Set[String] =
+    Using.resource(Files.list(Path.of(System.getProperty("java.io.tmpdir"))))(_.iterator.asScala
+      .map(_.getFileName.toString)
+      .filter(n => sweptNames.exists(s => n.startsWith(s"cab-$s-"))).toSet)
+
+  // listed when the suite is built, before any test forces the sweep
+  private val cabDirsBefore = cabDirs
+
+  /** One tiny CAB sweep that every CAB test below reads. */
+  private lazy val sweep: Map[String, CabExperiment.StrategyResult] =
+    CabExperiment.runAll(spark, tiny,
+      CabExperiment.paperStrategies().filter(s => sweptNames.contains(s.name)))
+      .map(r => r.strategy -> r).toMap
+
   test("CabExperiment nocomp baseline grows the file count") {
-    val res = CabExperiment.runStrategy(spark, tiny, CabExperiment.StrategyDef("nocomp", None))
-    assert(res.hours.size == 2)
+    val res = sweep("nocomp")
+    assert(res.hours.size == 3)
     assert(res.hours.last.fileCountEnd > res.initialFileCount)
     assert(res.hours.forall(_.clusterConflicts == 0))
     assert(res.hours.forall(_.compactionUnits == 0))
@@ -22,10 +42,7 @@ class ExperimentSmokeSpec extends LstFixture {
   }
 
   test("CabExperiment with table-scope compaction reduces files vs baseline") {
-    val strategies = CabExperiment.paperStrategies()
-    val nocomp = CabExperiment.runStrategy(spark, tiny, strategies(0))
-    val table10 = CabExperiment.runStrategy(spark, tiny, strategies(1))
-    val hybrid500 = CabExperiment.runStrategy(spark, tiny, strategies.find(_.name == "hybrid-500").get)
+    val (nocomp, table10, hybrid500) = (sweep("nocomp"), sweep("table-10"), sweep("hybrid-500"))
     assert(table10.hours.last.fileCountEnd < nocomp.hours.last.fileCountEnd)
     assert(table10.hours.exists(_.compactionUnits > 0))
     assert(table10.meanGbHrPerUnit > 0.0 && hybrid500.meanGbHrPerUnit > 0.0)
@@ -38,14 +55,11 @@ class ExperimentSmokeSpec extends LstFixture {
   }
 
   test("Fig 8 mechanism: from hour 3, hybrid-500 scans under half nocomp's files per read") {
-    val p = tiny.copy(hours = 3)
-    val strategies = CabExperiment.paperStrategies()
     def lateMeanFiles(r: CabExperiment.StrategyResult): Double = {
       val hs = r.hours.filter(_.hour >= 3)
       hs.map(_.meanFilesScannedPerRead).sum / hs.size
     }
-    val nocomp = CabExperiment.runStrategy(spark, p, strategies.find(_.name == "nocomp").get)
-    val hybrid = CabExperiment.runStrategy(spark, p, strategies.find(_.name == "hybrid-500").get)
+    val (nocomp, hybrid) = (sweep("nocomp"), sweep("hybrid-500"))
     assert((nocomp.hours ++ hybrid.hours).forall(_.failedOps == 0))
     // the bound of Fig8QueryLatencyBench
     assert(lateMeanFiles(hybrid) < lateMeanFiles(nocomp) / 2,
@@ -53,13 +67,18 @@ class ExperimentSmokeSpec extends LstFixture {
   }
 
   test("CabExperiment records write counts and latency summaries") {
-    val res = CabExperiment.runStrategy(spark, tiny, CabExperiment.StrategyDef("nocomp", None))
-    res.hours.foreach { h =>
+    sweep("nocomp").hours.foreach { h =>
       assert(h.writeQueries > 0)
       assert(h.readLatency.n > 0)
       assert(h.readLatency.max >= h.readLatency.p50)
       assert(h.meanFilesScannedPerRead > 0.0)
     }
+  }
+
+  test("a CAB strategy run deletes its catalog") {
+    assert(sweep.size == 3)
+    val left = cabDirs -- cabDirsBefore
+    assert(left.isEmpty, s"CAB runs left catalogs behind: $left")
   }
 
   test("paperStrategies defines the §6 sweep") {

@@ -7,10 +7,9 @@ class LstCatalogSpec extends LstFixture {
 
   test("createTable auto-creates db") {
     val c = freshCatalog()
-    val t = c.createTable("dbX", "t1", None, nowMs = 77L)
+    val t = c.createTable("dbX", "t1", None)
     assert(t.ref == TableRef("dbX", "t1"))
     assert(c.listDbs == Vector("dbX"))
-    assert(t.meta.createdAtMs == 77L)
   }
 
   test("table() loads an existing table") {

@@ -11,15 +11,26 @@ import org.apache.spark.sql.functions._
 
 import repro.{SparkSpec, SynthData}
 
-/** Shared helpers for LST-layer tests: fresh temp catalogs and tiny
-  * deterministic TPC-H-lite tables.
+/** Shared helpers for LST-layer tests: fresh temp catalogs, deleted after
+  * the suite, and tiny deterministic TPC-H-lite tables.
   */
 trait LstFixture extends SparkSpec {
 
-  def freshCatalog(): LstCatalog =
-    new LstCatalog(Files.createTempDirectory("lst-cat-"))
+  private val tempDirs = new ConcurrentLinkedQueue[Path]()
 
-  def freshTableDir(): Path = Files.createTempDirectory("lst-tbl-")
+  private def tempDir(prefix: String): Path = {
+    val dir = Files.createTempDirectory(prefix)
+    tempDirs.add(dir)
+    dir
+  }
+
+  def freshCatalog(): LstCatalog = new LstCatalog(tempDir("lst-cat-"))
+
+  def freshTableDir(): Path = tempDir("lst-tbl-")
+
+  // a table directory is a directory tree too, so the catalog's delete serves both
+  override def afterAll(): Unit =
+    try tempDirs.asScala.foreach(new LstCatalog(_).delete()) finally super.afterAll()
 
   /** Tiny lineitem with monthly partition column (SF picks ~600 rows/0.0001). */
   def tinyLineitem(sf: Double = 0.001, months: Int = 3, seed: Long = 0): DataFrame =
@@ -34,7 +45,7 @@ trait LstFixture extends SparkSpec {
   def loadedLineitem(cat: LstCatalog, db: String = "db1", name: String = "lineitem",
                      sf: Double = 0.001, months: Int = 3, filesPerPartition: Int = 4,
                      seed: Long = 0): LstTable = {
-    val t = cat.createTable(db, name, Some("l_shipmonth"), nowMs = 1000L)
+    val t = cat.createTable(db, name, Some("l_shipmonth"))
     LstWriter.append(spark, t, tinyLineitem(sf, months, seed), filesPerPartition)
     t
   }
@@ -42,7 +53,7 @@ trait LstFixture extends SparkSpec {
   /** Create an unpartitioned orders LST table with `files` files. */
   def loadedOrders(cat: LstCatalog, db: String = "db1", name: String = "orders",
                    sf: Double = 0.001, files: Int = 6, seed: Long = 1): LstTable = {
-    val t = cat.createTable(db, name, None, nowMs = 1000L)
+    val t = cat.createTable(db, name, None)
     LstWriter.append(spark, t, tinyOrders(sf, seed), files)
     t
   }

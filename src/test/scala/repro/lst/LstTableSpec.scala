@@ -6,17 +6,17 @@ class LstTableSpec extends LstFixture {
     DataFile(path, part, size, 10L, v)
 
   test("create initializes v0 empty snapshot") {
-    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None, 123L)
+    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None)
     assert(t.currentVersion == 0L)
     assert(t.currentSnapshot.files.isEmpty)
     assert(t.currentSnapshot.operation == Snapshot.OpCreate)
-    assert(t.meta == TableMeta("d", "t", None, 123L, None))
+    assert(t.meta == TableMeta(None, None))
   }
 
   test("create twice at same root fails") {
     val dir = freshTableDir()
-    LstTable.create(TableRef("d", "t"), dir, None, 1L)
-    intercept[IllegalArgumentException](LstTable.create(TableRef("d", "t"), dir, None, 1L))
+    LstTable.create(TableRef("d", "t"), dir, None)
+    intercept[IllegalArgumentException](LstTable.create(TableRef("d", "t"), dir, None))
   }
 
   test("load of missing table fails") {
@@ -24,16 +24,15 @@ class LstTableSpec extends LstFixture {
   }
 
   test("append commit bumps version and accumulates files") {
-    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None, 1L)
+    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None)
     t.commit(0, Append(Vector(df("/a"), df("/b"))))
     t.commit(1, Append(Vector(df("/c"))))
     assert(t.currentVersion == 2L)
     assert(t.currentSnapshot.files.map(_.path) == Vector("/a", "/b", "/c"))
-    assert(t.currentSnapshot.addedCount == 1)
   }
 
   test("append against stale base rebases without conflict") {
-    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None, 1L)
+    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None)
     t.commit(0, Append(Vector(df("/a"))))
     // stale base 0 while current is 1
     val snap = t.commit(0, Append(Vector(df("/b"))))
@@ -42,16 +41,15 @@ class LstTableSpec extends LstFixture {
   }
 
   test("overwrite replaces files") {
-    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None, 1L)
+    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None)
     t.commit(0, Append(Vector(df("/a"), df("/b"))))
     val snap = t.commit(1, Overwrite(Vector("/a"), Vector(df("/a2"))))
     assert(snap.files.map(_.path).toSet == Set("/b", "/a2"))
     assert(snap.operation == Snapshot.OpOverwrite)
-    assert(snap.removedCount == 1)
   }
 
   test("overwrite conflicts when victim already removed") {
-    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None, 1L)
+    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None)
     t.commit(0, Append(Vector(df("/a"), df("/b"))))
     t.commit(1, Overwrite(Vector("/a"), Vector(df("/a2")))) // v2 removes /a
     val ex = intercept[CommitConflictException] {
@@ -61,7 +59,7 @@ class LstTableSpec extends LstFixture {
   }
 
   test("overwrite at the current version conflicts when a victim is not in the snapshot") {
-    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None, 1L)
+    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None)
     t.commit(0, Append(Vector(df("/a"))))
     val ex = intercept[CommitConflictException] {
       t.commit(1, Overwrite(Vector("/a", "/z"), Vector(df("/a2"))))
@@ -71,7 +69,7 @@ class LstTableSpec extends LstFixture {
   }
 
   test("rewrite at the current version conflicts when an input is not in the snapshot") {
-    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None, 1L)
+    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None)
     t.commit(0, Append(Vector(df("/a"))))
     val ex = intercept[CommitConflictException] {
       t.commit(1, Rewrite(Vector("/a", "/z"), Vector(df("/big"))))
@@ -81,7 +79,7 @@ class LstTableSpec extends LstFixture {
   }
 
   test("overwrite with stale base succeeds when victims still live") {
-    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None, 1L)
+    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None)
     t.commit(0, Append(Vector(df("/a"), df("/b"))))
     t.commit(1, Append(Vector(df("/c")))) // intervening append
     val snap = t.commit(1, Overwrite(Vector("/a"), Vector(df("/a2"))))
@@ -89,7 +87,7 @@ class LstTableSpec extends LstFixture {
   }
 
   test("rewrite replaces files and marks operation") {
-    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None, 1L)
+    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None)
     t.commit(0, Append(Vector(df("/a"), df("/b"))))
     val snap = t.commit(1, Rewrite(Vector("/a", "/b"), Vector(df("/big"))))
     assert(snap.operation == Snapshot.OpRewrite)
@@ -97,7 +95,7 @@ class LstTableSpec extends LstFixture {
   }
 
   test("rewrite rebases over intervening append") {
-    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None, 1L)
+    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None)
     t.commit(0, Append(Vector(df("/a"), df("/b"))))
     t.commit(1, Append(Vector(df("/c")))) // user append mid-compaction
     val snap = t.commit(1, Rewrite(Vector("/a", "/b"), Vector(df("/big"))))
@@ -105,7 +103,7 @@ class LstTableSpec extends LstFixture {
   }
 
   test("rewrite tolerates a disjoint user overwrite (file-level validation)") {
-    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), Some("p"), 1L)
+    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), Some("p"))
     t.commit(0, Append(Vector(df("/a", Some("p1")), df("/b", Some("p2")))))
     t.commit(1, Overwrite(Vector("/b"), Vector(df("/b2", Some("p2"))))) // touches p2 only
     val snap = t.commit(1, Rewrite(Vector("/a"), Vector(df("/a2", Some("p1"))))) // p1 only
@@ -113,7 +111,7 @@ class LstTableSpec extends LstFixture {
   }
 
   test("rewrite conflicts when a user overwrite removed its input files") {
-    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None, 1L)
+    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None)
     t.commit(0, Append(Vector(df("/a"), df("/b"))))
     t.commit(1, Overwrite(Vector("/a"), Vector(df("/a2"))))
     val ex = intercept[CommitConflictException] {
@@ -124,7 +122,7 @@ class LstTableSpec extends LstFixture {
 
   test("rewrite conflicts with intervening rewrite even on disjoint partitions") {
     // the Iceberg v1.2 behaviour the paper reports (§4.4)
-    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), Some("p"), 1L)
+    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), Some("p"))
     t.commit(0, Append(Vector(df("/a", Some("p1")), df("/b", Some("p2")))))
     t.commit(1, Rewrite(Vector("/b"), Vector(df("/b2", Some("p2"))))) // compacts p2
     val ex = intercept[CommitConflictException] {
@@ -134,7 +132,7 @@ class LstTableSpec extends LstFixture {
   }
 
   test("rewrite conflicts with intervening rewrite") {
-    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None, 1L)
+    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None)
     t.commit(0, Append(Vector(df("/a"), df("/b"))))
     t.commit(1, Rewrite(Vector("/a"), Vector(df("/a2"))))
     val ex = intercept[CommitConflictException] {
@@ -144,7 +142,7 @@ class LstTableSpec extends LstFixture {
   }
 
   test("rewrite conflicts when victim file vanished") {
-    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None, 1L)
+    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None)
     t.commit(0, Append(Vector(df("/a"))))
     t.commit(1, Append(Vector(df("/c"))))
     // /z never existed in current inventory
@@ -155,7 +153,7 @@ class LstTableSpec extends LstFixture {
   }
 
   test("snapshotsSince returns intervening versions oldest-first") {
-    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None, 1L)
+    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None)
     t.commit(0, Append(Vector(df("/a"))))
     t.commit(1, Append(Vector(df("/b"))))
     t.commit(2, Append(Vector(df("/c"))))
@@ -164,8 +162,8 @@ class LstTableSpec extends LstFixture {
   }
 
   test("snapshot helpers: totals and partitions") {
-    val s = Snapshot(1, Snapshot.OpAppend, 0,
-      Vector(df("/a", Some("p2"), 10), df("/b", Some("p1"), 30), df("/c", None, 5)), 3, 0)
+    val s = Snapshot(1, Snapshot.OpAppend,
+      Vector(df("/a", Some("p2"), 10), df("/b", Some("p1"), 30), df("/c", None, 5)))
     assert(s.fileCount == 3)
     assert(s.totalBytes == 45L)
     assert(s.partitions == Vector("p1", "p2"))
@@ -174,7 +172,7 @@ class LstTableSpec extends LstFixture {
   }
 
   test("concurrent appends from many threads all land") {
-    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None, 1L)
+    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None)
     val threads = (1 to 8).map { i =>
       new Thread(() => (1 to 10).foreach { j =>
         t.commit(t.currentVersion, Append(Vector(df(s"/f-$i-$j"))))
@@ -186,7 +184,7 @@ class LstTableSpec extends LstFixture {
   }
 
   test("setSchemaIfAbsent writes once") {
-    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None, 1L)
+    val t = LstTable.create(TableRef("d", "t"), freshTableDir(), None)
     t.setSchemaIfAbsent("s1")
     t.setSchemaIfAbsent("s2")
     assert(t.meta.schemaJson.contains("s1"))

@@ -29,7 +29,7 @@ class WorkloadModelSpec extends LstFixture {
 
   test("non-partitioned tables pay whole-table rewrites") {
     val partitioned = WorkloadModel.wp1
-    val whole = partitioned.copy(partitionsPerTable = 1, initialLargeFiles = 200)
+    val whole = partitioned.copy(partitioned = false, initialLargeFiles = 200)
     val thr = 0.3
     val pd = partitioned.evaluate("smallFileCount", thr)
     val wd = whole.evaluate("smallFileCount", thr)

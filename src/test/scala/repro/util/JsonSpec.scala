@@ -18,27 +18,27 @@ class JsonSpec extends AnyFunSuite {
   }
 
   test("Snapshot round-trip with files") {
-    val s = Snapshot(7L, Snapshot.OpAppend, 1000L, Vector(df, df.copy(path = "/x/b.parquet")), 2, 0)
+    val s = Snapshot(7L, Snapshot.OpAppend, Vector(df, df.copy(path = "/x/b.parquet")))
     assert(Json.read[Snapshot](Json.write(s)) == s)
   }
 
   test("Snapshot round-trip empty") {
-    val s = Snapshot(0L, Snapshot.OpCreate, 0L, Vector.empty, 0, 0)
+    val s = Snapshot(0L, Snapshot.OpCreate, Vector.empty)
     assert(Json.read[Snapshot](Json.write(s)) == s)
   }
 
   test("TableMeta round-trip") {
-    val m = TableMeta("db1", "t1", Some("l_shipmonth"), 99L, Some("{\"type\":\"struct\"}"))
+    val m = TableMeta(Some("l_shipmonth"), Some("{\"type\":\"struct\"}"))
     assert(Json.read[TableMeta](Json.write(m)) == m)
   }
 
   test("TableMeta without schema round-trips") {
-    val m = TableMeta("db1", "t1", None, 99L, None)
+    val m = TableMeta(None, None)
     assert(Json.read[TableMeta](Json.write(m)) == m)
   }
 
   test("serialization is deterministic") {
-    val s = Snapshot(7L, Snapshot.OpRewrite, 1000L, Vector(df), 1, 2)
+    val s = Snapshot(7L, Snapshot.OpRewrite, Vector(df))
     assert(Json.write(s) == Json.write(s))
   }
 }
