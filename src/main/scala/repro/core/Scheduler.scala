@@ -1,12 +1,11 @@
 package repro.core
 
-import java.util.concurrent.{Callable, Executors, TimeUnit}
-import scala.jdk.CollectionConverters._
 import scala.util.control.NonFatal
 
 import org.apache.spark.sql.SparkSession
 
 import repro.lst.LstCatalog
+import repro.util.Parallel
 
 /** Scheduling policy for the act phase (§4.4/§6 "Candidate Selection and
   * Scheduling"): candidates of DIFFERENT tables run in parallel, while
@@ -27,33 +26,23 @@ final class CompactionScheduler(sched: SchedulerConfig) {
     */
   def run(spark: SparkSession, catalog: LstCatalog,
           selected: Vector[ScoredCandidate], cfg: CompactionConfig): Vector[CompactionResult] = {
-    if (selected.isEmpty) return Vector.empty
     val byTable = selected.groupBy(_.candidate.table).toVector.sortBy(_._1.toString)
-    val pool = Executors.newFixedThreadPool(math.min(sched.tableParallelism, byTable.size))
-    try {
-      val tasks = byTable.map { case (_, cands) =>
-        new Callable[Vector[CompactionResult]] {
-          def call(): Vector[CompactionResult] =
-            // sequential within a table — see class doc
-            cands.map { sc =>
-              val c = sc.candidate
-              val start = System.nanoTime()
-              try CompactionExecutor.compact(spark, catalog, c, cfg)
-              catch {
-                case NonFatal(e) =>
-                  Console.err.println(s"compaction of ${c.id} failed: $e")
-                  CompactionResult(c.table, c.partition, 0, 0, 0L, 0.0,
-                    (System.nanoTime() - start) / 1000000L, attempts = 1,
-                    conflicts = 0, succeeded = false, skipped = false)
-              }
-            }
+    val results = Parallel.all("compaction", sched.tableParallelism, byTable.map { case (_, cands) =>
+      () =>
+        // sequential within a table — see class doc
+        cands.map { sc =>
+          val c = sc.candidate
+          val start = System.nanoTime()
+          try CompactionExecutor.compact(spark, catalog, c, cfg)
+          catch {
+            case NonFatal(e) =>
+              Console.err.println(s"compaction of ${c.id} failed: $e")
+              CompactionResult(c.table, c.partition, 0, 0, 0L, 0.0,
+                (System.nanoTime() - start) / 1000000L, attempts = 1,
+                conflicts = 0, succeeded = false, skipped = false)
+          }
         }
-      }
-      val results = pool.invokeAll(tasks.asJava).asScala.toVector.flatMap(_.get())
-      results.sortBy(r => (r.table.toString, r.partition.getOrElse("")))
-    } finally {
-      pool.shutdown()
-      pool.awaitTermination(10, TimeUnit.MINUTES)
-    }
+    }).flatten
+    results.sortBy(r => (r.table.toString, r.partition.getOrElse("")))
   }
 }

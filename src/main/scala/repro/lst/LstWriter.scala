@@ -39,8 +39,12 @@ object LstWriter {
   final case class FileGroup(partition: Option[String], files: Vector[DataFile], outputs: Int)
 
   /** Exact row count from the Parquet footer (cheap metadata read).
-    * `conf` is shared across calls: building a Hadoop `Configuration` for
-    * each file cost more than the footer read itself.
+    * `conf` only resolves the file's filesystem. `ParquetFileReader.open`
+    * still builds its read options from a fresh Hadoop `Configuration` for
+    * every file, which costs more than the footer read itself. Passing
+    * options built from `conf` would avoid that, but the faster appends
+    * shift CAB's race between the streams and the compaction tick and slow
+    * its reads, so the call stays as it is until that race is understood.
     */
   def parquetRecordCount(p: Path, conf: Configuration): Long = {
     val in = HadoopInputFile.fromPath(new org.apache.hadoop.fs.Path(p.toUri), conf)

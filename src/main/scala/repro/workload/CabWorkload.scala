@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 
 import repro.SynthData
 import repro.lst.{LstCatalog, LstWriter}
-import repro.util.DetRng
+import repro.util.{DetRng, Parallel}
 
 /** One logical operation of a CAB stream. */
 sealed trait Op {
@@ -136,12 +136,15 @@ final class CabWorkload(
   }
 
   /** Create the databases and perform the initial (badly tuned) bulk load:
-    * many small files per table, the §6.1 starting condition.
+    * many small files per table, the §6.1 starting condition. The databases
+    * are independent, so each one loads on its own thread, as the hour's
+    * streams run. If a load throws, the other databases still load, and then
+    * the first failure is rethrown.
     */
   def setup(spark: SparkSession, catalog: LstCatalog,
             initialSf: Double = 0.004, initialLineitemFiles: Int = 8,
             initialOrdersFiles: Int = 16): Unit = {
-    (0 until nDbs).foreach { i =>
+    def load(i: Int): Unit = {
       val db = dbName(i)
       catalog.createDb(db)
       val li = catalog.createTable(db, "lineitem", Some("l_shipmonth"))
@@ -154,5 +157,6 @@ final class CabWorkload(
       LstWriter.append(spark, ord,
         SynthData.orders(spark, initialSf, ordSeed), initialOrdersFiles)
     }
+    Parallel.all("cab-setup", nDbs, (0 until nDbs).map(i => () => load(i)))
   }
 }

@@ -1,7 +1,5 @@
 package repro.workload
 
-import java.util.concurrent.{Callable, Executors, TimeUnit}
-import scala.jdk.CollectionConverters._
 import scala.util.control.NonFatal
 
 import org.apache.spark.sql.SparkSession
@@ -9,6 +7,7 @@ import org.apache.spark.sql.functions._
 
 import repro.SynthData
 import repro.lst._
+import repro.util.Parallel
 
 /** Client-side timing/result record for one read query; a query that threw
   * has `succeeded = false` and scanned nothing.
@@ -121,40 +120,29 @@ final class WorkloadRunner(spark: SparkSession, catalog: LstCatalog) {
     */
   def runHour(plan: HourPlan): HourMetrics = {
     val streams = plan.opsByDb.toVector.sortBy(_._1)
-    if (streams.isEmpty) return HourMetrics(plan.hour, Vector.empty, Vector.empty)
-    val pool = Executors.newFixedThreadPool(streams.size)
-    try {
-      val tasks = streams.map { case (_, ops) =>
-        new Callable[(Vector[QueryMetric], Vector[WriteMetric])] {
-          def call(): (Vector[QueryMetric], Vector[WriteMetric]) = {
-            val qs = Vector.newBuilder[QueryMetric]
-            val ws = Vector.newBuilder[WriteMetric]
-            ops.foreach { op =>
-              val t0 = System.nanoTime()
-              def ms: Long = (System.nanoTime() - t0) / 1000000L
-              try op match {
-                case r: ReadOp => qs += runRead(plan.hour, r)
-                case w         => ws += runWrite(plan.hour, w)
-              } catch {
-                case NonFatal(_) => op match {
-                  case r: ReadOp   => qs += QueryMetric(plan.hour, r.db, r.queryId, ms, 0, 0L, succeeded = false)
-                  case a: AppendOp => ws += WriteMetric(plan.hour, a.db, a.table, "append", ms, 0, 0, 0, succeeded = false)
-                  case d: DeleteOp => ws += WriteMetric(plan.hour, d.db, d.table, "delete", ms, 0, 0, 0, succeeded = false)
-                }
-              }
+    val done = Parallel.all("cab-stream", streams.size, streams.map { case (_, ops) =>
+      () =>
+        val qs = Vector.newBuilder[QueryMetric]
+        val ws = Vector.newBuilder[WriteMetric]
+        ops.foreach { op =>
+          val t0 = System.nanoTime()
+          def ms: Long = (System.nanoTime() - t0) / 1000000L
+          try op match {
+            case r: ReadOp => qs += runRead(plan.hour, r)
+            case w         => ws += runWrite(plan.hour, w)
+          } catch {
+            case NonFatal(_) => op match {
+              case r: ReadOp   => qs += QueryMetric(plan.hour, r.db, r.queryId, ms, 0, 0L, succeeded = false)
+              case a: AppendOp => ws += WriteMetric(plan.hour, a.db, a.table, "append", ms, 0, 0, 0, succeeded = false)
+              case d: DeleteOp => ws += WriteMetric(plan.hour, d.db, d.table, "delete", ms, 0, 0, 0, succeeded = false)
             }
-            (qs.result(), ws.result())
           }
         }
-      }
-      val done = pool.invokeAll(tasks.asJava).asScala.toVector.map(_.get())
-      HourMetrics(plan.hour,
-        done.flatMap(_._1).sortBy(q => (q.db, q.queryId)),
-        done.flatMap(_._2).sortBy(w => (w.db, w.table, w.kind)))
-    } finally {
-      pool.shutdown()
-      pool.awaitTermination(10, TimeUnit.MINUTES)
-    }
+        (qs.result(), ws.result())
+    })
+    HourMetrics(plan.hour,
+      done.flatMap(_._1).sortBy(q => (q.db, q.queryId)),
+      done.flatMap(_._2).sortBy(w => (w.db, w.table, w.kind)))
   }
 
   /** Total live data files across the catalog — the Fig. 6 y-axis. */

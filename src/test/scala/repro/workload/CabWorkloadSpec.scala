@@ -1,5 +1,7 @@
 package repro.workload
 
+import scala.jdk.CollectionConverters._
+
 import repro.lst.LstFixture
 
 class CabWorkloadSpec extends LstFixture {
@@ -78,5 +80,61 @@ class CabWorkloadSpec extends LstFixture {
     assert(ord.fileCount == 6)
     assert(li.partitions.size == 3)
     li.partitions.foreach(p => assert(li.filesIn(Some(p)).size == 4))
+  }
+
+  /** `SynthData` seeds `rand` per Spark partition, so the loaded bytes
+    * depend on the session's parallelism: parallelism -> for each table of
+    * a 3-database set-up, in `allTables` order, (files, records, sorted file
+    * sizes). Recorded with the databases loaded one after another.
+    */
+  private val setupPins: Map[Int, Vector[(Int, Long, Vector[Long])]] = {
+    def db(li: Vector[Long], ord: Vector[Long]) = Vector((4, 6000L, li), (3, 1500L, ord))
+    Map(
+      1 -> (db(Vector(34832, 34983, 36651, 36737), Vector(9899, 9915, 9946)) ++
+        db(Vector(34795, 34907, 36672, 36943), Vector(9878, 9896, 9933)) ++
+        db(Vector(33576, 35276, 36359, 38059), Vector(9851, 9889, 9925))),
+      2 -> (db(Vector(35186, 35410, 36299, 36410), Vector(9805, 9905, 9907)) ++
+        db(Vector(34856, 34875, 36723, 36796), Vector(9859, 9895, 9908)) ++
+        db(Vector(35655, 35712, 35841, 35849), Vector(9877, 9904, 9908))),
+      3 -> (db(Vector(34704, 35323, 36266, 36852), Vector(9880, 9892, 9916)) ++
+        db(Vector(33598, 35173, 36457, 38000), Vector(9873, 9875, 9926)) ++
+        db(Vector(35047, 35308, 36291, 36473), Vector(9791, 9914, 9926))),
+      4 -> (db(Vector(34891, 35142, 36430, 36753), Vector(9833, 9893, 9914)) ++
+        db(Vector(34461, 35106, 36444, 37046), Vector(9862, 9885, 9902)) ++
+        db(Vector(34917, 35116, 36507, 36570), Vector(9820, 9935, 9990))),
+      8 -> (db(Vector(34735, 34963, 36509, 36840), Vector(9898, 9934, 9949)) ++
+        db(Vector(33990, 35523, 36183, 37678), Vector(9871, 9876, 9883)) ++
+        db(Vector(34684, 34737, 36750, 36956), Vector(9865, 9921, 9933))))
+  }
+
+  test("setup builds the pinned catalog") {
+    val c = freshCatalog()
+    new CabWorkload(3, 1, seed = 11, months = 2)
+      .setup(spark, c, initialSf = 0.001, initialLineitemFiles = 2, initialOrdersFiles = 3)
+    val got = c.allTables.map { ref =>
+      val s = c.table(ref).currentSnapshot
+      (s.fileCount, s.totalRecords, s.files.map(_.sizeBytes).sorted)
+    }
+    val par = spark.sparkContext.defaultParallelism
+    val want = setupPins.getOrElse(par, fail(s"no pinned values for parallelism $par " +
+      s"(recorded: ${setupPins.keys.toVector.sorted}); this run: $got"))
+    assert(got == want)
+  }
+
+  test("a failing database load fails setup after the others have loaded") {
+    val c = freshCatalog()
+    val w = new CabWorkload(3, 1, seed = 11, months = 2)
+    c.createTable(w.dbName(1), "lineitem", Some("l_shipmonth"))
+    val e = intercept[IllegalArgumentException](
+      w.setup(spark, c, initialSf = 0.001, initialLineitemFiles = 2, initialOrdersFiles = 3))
+    assert(e.getMessage.contains("table already exists"))
+    Seq(0, 2).map(w.dbName).foreach { db =>
+      val li = c.table(db, "lineitem").currentSnapshot
+      val ord = c.table(db, "orders").currentSnapshot
+      assert((li.fileCount, li.totalRecords, ord.fileCount, ord.totalRecords) == ((4, 6000L, 3, 1500L)), db)
+    }
+    val setupThreads = Thread.getAllStackTraces.keySet.asScala.filter(_.getName.startsWith("cab-setup-"))
+    setupThreads.foreach(_.join(5000))
+    assert(setupThreads.forall(!_.isAlive), s"set-up threads still running: $setupThreads")
   }
 }
